@@ -1,17 +1,12 @@
 /// \file bench_multiclient.cc
 /// \brief Ext-5: the multi-user mode (paper §3.1 calls OCB's multi-user
-///        support "almost unique"). Two sections:
+///        support "almost unique"). Six sections:
 ///
-/// **Latch section** — sweeps CLIENTN over a shared single Database and
-/// runs every point in a grid of two axes:
-///
-///   * concurrency mode — pure-2PL (readers take S locks and queue behind
-///     writers) vs MVCC snapshot reads (read-only transactions pin a
-///     ReadView and bypass the lock manager);
-///   * latching mode — *facade* (SetSerializedPhysical: every operation
-///     serializes on one big latch, physical I/O included — the
-///     pre-refactor substrate) vs *page* (striped buffer pool + per-frame
-///     latches; the catalog latch covers metadata only).
+/// **Latch section** — sweeps CLIENTN over a shared single Database in
+/// two reader modes: locking (readers are k2PL transactions, take S locks
+/// and queue behind writers) vs snapshot (read-only transactions run in
+/// kSnapshotRead, pin a ReadView and bypass the lock manager). Reports
+/// lock wait next to catalog-latch and page-latch wait.
 ///
 /// **Shard section** — sweeps SHARDN × CLIENTN × {2PL, MVCC} over a
 /// ShardedDatabase on a *write-heavy* mix (updates/inserts/deletes supply
@@ -31,6 +26,9 @@
 /// mutex / in-flight registry on the sharded engine — is paid once per
 /// batch instead of once per transaction.
 ///
+/// **WAL section** — the group-commit storm with the real redo WAL off vs
+/// on, single store and SHARDN=2: commits per fsync'd batch.
+///
 /// **I/O section** — CLIENTN=4 on a miss-heavy read storm (scattered
 /// GetMany batches plus breadth-first traversals over a buffer pool far
 /// smaller than the database) in wall-clock latency-injection mode,
@@ -42,6 +40,9 @@
 /// through the background write-back flusher instead of stalling
 /// eviction. The overlap column (serial/charged simulated nanos) shows
 /// how much device time genuinely overlapped.
+///
+/// **CC section** — CLIENTN × {k2PL, kSI, kOCC} writers on a read-mostly
+/// and a write-hot mix: throughput and conflict-abort rate per mode.
 ///
 /// Environment knobs (CI smoke jobs):
 ///   OCB_MULTICLIENT_SECTIONS  comma list of "latch","shard","groupcommit",
@@ -114,7 +115,7 @@ int main() {
 
   bench::PrintHeader("Ext-5",
                      "multi-client scaling (CLIENTN sweep, 2PL vs MVCC, "
-                     "facade vs page latching, SHARDN sharding)");
+                     "SHARDN sharding)");
 
   // Machine-readable output: OCB_BENCH_JSON=path emits one object per
   // sweep point (ci/check_bench_json.py validates the schema);
@@ -150,157 +151,135 @@ int main() {
       }
     }
 
-    TextTable table({"Clients", "Mode", "Latching", "Committed", "Aborted",
-                     "Lock wait", "Facade wait", "Page wait",
+    TextTable table({"Clients", "Mode", "Committed", "Aborted",
+                     "Lock wait", "Catalog wait", "Page wait",
                      "Mean I/Os/attempt", "Hit ratio", "Wall time",
                      "Throughput (txn/s)"});
     std::vector<std::string> per_client_lines;
     std::vector<std::string> gc_lines;
-    struct RunPoint {
-      double throughput = 0.0;
-      uint64_t facade_wait = 0;
-      uint64_t page_wait = 0;
-    };
-    // (clients, mode, page_latches) → outcome, for the summary comparison.
-    std::map<std::tuple<uint32_t, std::string, bool>, RunPoint> points;
 
     for (uint32_t clients : std::vector<uint32_t>{1, 2, 4, 8}) {
       // CLIENTN=1 keeps the seed's serialized legacy path; every
-      // multi-client CLIENTN runs both concurrency modes. Every point runs
-      // under both latching substrates over fresh, identically generated
-      // databases.
+      // multi-client CLIENTN runs both reader modes over fresh,
+      // identically generated databases.
       const int modes = clients == 1 ? 1 : 2;
       for (int mode = 0; mode < modes; ++mode) {
-        const bool mvcc = mode == 1;
-        for (const bool page_latches : {false, true}) {
-          Database db(storage);
-          if (!LoadSnapshot(&db, snapshot_path).ok()) {
-            std::fprintf(stderr, "snapshot load failed\n");
-            return 1;
-          }
-          // The latch substrate under test.
-          db.SetSerializedPhysical(!page_latches);
-          if (!db.ColdRestart().ok()) return 1;
+        const bool snapshot = mode == 1;
+        Database db(storage);
+        if (!LoadSnapshot(&db, snapshot_path).ok()) {
+          std::fprintf(stderr, "snapshot load failed\n");
+          return 1;
+        }
+        if (!db.ColdRestart().ok()) return 1;
 
-          OcbPreset preset = presets::Default();
-          preset.workload.client_count = clients;
-          preset.workload.cold_transactions = cold_txns;
-          preset.workload.hot_transactions = hot_txns;
-          preset.workload.seed = 31;
-          // Read-heavy mix (the paper's traversal-dominated matrix) with
-          // enough writes that 2PL readers genuinely queue behind X locks.
-          preset.workload.p_set = 0.22;
-          preset.workload.p_simple = 0.22;
-          preset.workload.p_hierarchy = 0.18;
-          preset.workload.p_stochastic = 0.18;
-          preset.workload.p_update = 0.12;
-          preset.workload.p_insert = 0.05;
-          preset.workload.p_delete = 0.03;
-          preset.workload.mvcc_snapshot_reads = mvcc;
-          // Per-transaction I/O is computed from the disk's own counters
-          // over the whole run: per-client deltas overlap under
-          // concurrency (see client.h), the device-level count does not.
-          const uint64_t reads_before =
-              db.disk()->counters(IoScope::kTransaction).reads;
-          const obs::MetricsSnapshot obs_before =
-              obs::MetricsRegistry::Global().Snapshot();
-          auto report = RunMultiClient(&db, preset.workload);
-          if (!report.ok()) {
-            std::fprintf(stderr, "run failed: %s\n",
-                         report.status().ToString().c_str());
-            return 1;
-          }
-          const obs::MetricsSnapshot obs_window =
-              obs::MetricsRegistry::Global().Snapshot().Diff(obs_before);
-          const uint64_t reads =
-              db.disk()->counters(IoScope::kTransaction).reads -
-              reads_before;
-          const uint64_t txns = report->merged.cold.global.transactions +
-                                report->merged.warm.global.transactions;
-          // Device-level reads include aborted transactions' work and
-          // their undo-log rollback, so normalize by *attempted*
-          // transactions — the committed-only divisor would inflate with
-          // the abort rate.
-          const uint64_t attempted = txns + report->total_aborts();
-          const char* mode_name =
-              clients == 1 ? "legacy" : (mvcc ? "MVCC" : "2PL-only");
-          const char* latch_name = page_latches ? "page" : "facade";
-          points[{clients, mode_name, page_latches}] =
-              RunPoint{report->throughput_tps(),
-                       report->total_facade_wait_nanos(),
-                       report->total_page_latch_wait_nanos()};
-          if (json.enabled()) {
-            json.BeginPoint();
-            obs::JsonWriter& w = json.writer();
-            w.Field("section", "latch")
-                .Field("clients", clients)
-                .Field("mode", mode_name)
-                .Field("latching", latch_name)
-                .Field("committed", txns)
-                .Field("aborts", report->total_aborts())
-                .Field("abort_rate", report->abort_rate())
-                .Field("throughput_tps", report->throughput_tps())
-                .Field("wall_micros", report->wall_micros)
-                .Field("lock_wait_nanos", report->total_lock_wait_nanos())
-                .Field("facade_wait_nanos",
-                       report->total_facade_wait_nanos())
-                .Field("page_latch_wait_nanos",
-                       report->total_page_latch_wait_nanos())
-                .Field("mean_ios_per_attempt",
-                       attempted == 0 ? 0.0
-                                      : static_cast<double>(reads) /
-                                            static_cast<double>(attempted))
-                .Field("buffer_hit_ratio",
-                       report->merged.warm.buffer_hit_ratio());
-            w.BeginObject("histograms");
-            bench::WriteHistogramJson(w, "lock_wait",
-                                      report->lock_wait_histogram());
-            bench::WriteHistogramJson(w, "commit_latency",
-                                      report->commit_latency_histogram());
-            bench::WriteHistogramJson(w, "twopc",
-                                      report->twopc_histogram());
-            w.EndObject();
-            w.Raw("registry", obs_window.ToJson());
-            json.EndPoint();
-          }
-          table.AddRow(
-              {Format("%u", clients), mode_name, latch_name,
-               Format("%llu", (unsigned long long)txns),
-               Format("%llu", (unsigned long long)report->total_aborts()),
-               HumanDuration(report->total_lock_wait_nanos()),
-               HumanDuration(report->total_facade_wait_nanos()),
-               HumanDuration(report->total_page_latch_wait_nanos()),
-               Format("%.2f", attempted == 0
-                                  ? 0.0
-                                  : static_cast<double>(reads) /
-                                        static_cast<double>(attempted)),
-               Format("%.3f", report->merged.warm.buffer_hit_ratio()),
-               HumanDuration(report->wall_micros * 1000),
-               Format("%.0f", report->throughput_tps())});
-          if (clients > 1 && page_latches) {
-            const VersionStoreStats vs = db.version_store()->stats();
-            gc_lines.push_back(Format(
-                "  CLIENTN=%u %s: %llu versions published, %llu GC'd over "
-                "%llu passes, %llu live at end; %llu snapshot txns",
-                clients, mode_name,
-                (unsigned long long)vs.versions_published,
-                (unsigned long long)vs.versions_gced,
-                (unsigned long long)vs.gc_passes,
-                (unsigned long long)vs.live_versions,
-                (unsigned long long)report->total_read_only_commits()));
-            for (const ClientOutcome& c : report->per_client) {
-              per_client_lines.push_back(Format(
-                  "  CLIENTN=%u %s client %u: %llu committed, %llu "
-                  "aborted, lock wait %s, facade wait %s, page wait %s, "
-                  "%.0f txn/s",
-                  clients, mode_name, c.client_id,
-                  (unsigned long long)c.committed,
-                  (unsigned long long)c.aborts,
-                  HumanDuration(c.lock_wait_nanos).c_str(),
-                  HumanDuration(c.facade_wait_nanos).c_str(),
-                  HumanDuration(c.page_latch_wait_nanos).c_str(),
-                  c.throughput_tps()));
-            }
+        OcbPreset preset = presets::Default();
+        preset.workload.client_count = clients;
+        preset.workload.cold_transactions = cold_txns;
+        preset.workload.hot_transactions = hot_txns;
+        preset.workload.seed = 31;
+        // Read-heavy mix (the paper's traversal-dominated matrix) with
+        // enough writes that locking readers genuinely queue behind X
+        // locks.
+        preset.workload.p_set = 0.22;
+        preset.workload.p_simple = 0.22;
+        preset.workload.p_hierarchy = 0.18;
+        preset.workload.p_stochastic = 0.18;
+        preset.workload.p_update = 0.12;
+        preset.workload.p_insert = 0.05;
+        preset.workload.p_delete = 0.03;
+        preset.workload.mvcc_snapshot_reads = snapshot;
+        // Per-transaction I/O is computed from the disk's own counters
+        // over the whole run: per-client deltas overlap under
+        // concurrency (see client.h), the device-level count does not.
+        const uint64_t reads_before =
+            db.disk()->counters(IoScope::kTransaction).reads;
+        const obs::MetricsSnapshot obs_before =
+            obs::MetricsRegistry::Global().Snapshot();
+        auto report = RunMultiClient(&db, preset.workload);
+        if (!report.ok()) {
+          std::fprintf(stderr, "run failed: %s\n",
+                       report.status().ToString().c_str());
+          return 1;
+        }
+        const obs::MetricsSnapshot obs_window =
+            obs::MetricsRegistry::Global().Snapshot().Diff(obs_before);
+        const uint64_t reads =
+            db.disk()->counters(IoScope::kTransaction).reads - reads_before;
+        const uint64_t txns = report->merged.cold.global.transactions +
+                              report->merged.warm.global.transactions;
+        // Device-level reads include aborted transactions' work and
+        // their undo-log rollback, so normalize by *attempted*
+        // transactions — the committed-only divisor would inflate with
+        // the abort rate.
+        const uint64_t attempted = txns + report->total_aborts();
+        const double ios_per_attempt =
+            attempted == 0 ? 0.0
+                           : static_cast<double>(reads) /
+                                 static_cast<double>(attempted);
+        const char* mode_name =
+            clients == 1 ? "legacy" : (snapshot ? "snapshot" : "locking");
+        if (json.enabled()) {
+          json.BeginPoint();
+          obs::JsonWriter& w = json.writer();
+          w.Field("section", "latch")
+              .Field("clients", clients)
+              .Field("mode", mode_name)
+              .Field("committed", txns)
+              .Field("aborts", report->total_aborts())
+              .Field("abort_rate", report->abort_rate())
+              .Field("throughput_tps", report->throughput_tps())
+              .Field("wall_micros", report->wall_micros)
+              .Field("lock_wait_nanos", report->total_lock_wait_nanos())
+              .Field("facade_wait_nanos", report->total_facade_wait_nanos())
+              .Field("page_latch_wait_nanos",
+                     report->total_page_latch_wait_nanos())
+              .Field("mean_ios_per_attempt", ios_per_attempt)
+              .Field("buffer_hit_ratio",
+                     report->merged.warm.buffer_hit_ratio());
+          w.BeginObject("histograms");
+          bench::WriteHistogramJson(w, "lock_wait",
+                                    report->lock_wait_histogram());
+          bench::WriteHistogramJson(w, "commit_latency",
+                                    report->commit_latency_histogram());
+          bench::WriteHistogramJson(w, "twopc", report->twopc_histogram());
+          w.EndObject();
+          w.Raw("registry", obs_window.ToJson());
+          json.EndPoint();
+        }
+        table.AddRow(
+            {Format("%u", clients), mode_name,
+             Format("%llu", (unsigned long long)txns),
+             Format("%llu", (unsigned long long)report->total_aborts()),
+             HumanDuration(report->total_lock_wait_nanos()),
+             HumanDuration(report->total_facade_wait_nanos()),
+             HumanDuration(report->total_page_latch_wait_nanos()),
+             Format("%.2f", ios_per_attempt),
+             Format("%.3f", report->merged.warm.buffer_hit_ratio()),
+             HumanDuration(report->wall_micros * 1000),
+             Format("%.0f", report->throughput_tps())});
+        if (clients > 1) {
+          const VersionStoreStats vs = db.version_store()->stats();
+          gc_lines.push_back(Format(
+              "  CLIENTN=%u %s: %llu versions published, %llu GC'd over "
+              "%llu passes, %llu live at end; %llu snapshot txns",
+              clients, mode_name,
+              (unsigned long long)vs.versions_published,
+              (unsigned long long)vs.versions_gced,
+              (unsigned long long)vs.gc_passes,
+              (unsigned long long)vs.live_versions,
+              (unsigned long long)report->total_read_only_commits()));
+          for (const ClientOutcome& c : report->per_client) {
+            per_client_lines.push_back(Format(
+                "  CLIENTN=%u %s client %u: %llu committed, %llu "
+                "aborted, lock wait %s, catalog wait %s, page wait %s, "
+                "%.0f txn/s",
+                clients, mode_name, c.client_id,
+                (unsigned long long)c.committed,
+                (unsigned long long)c.aborts,
+                HumanDuration(c.lock_wait_nanos).c_str(),
+                HumanDuration(c.facade_wait_nanos).c_str(),
+                HumanDuration(c.page_latch_wait_nanos).c_str(),
+                c.throughput_tps()));
           }
         }
       }
@@ -308,36 +287,11 @@ int main() {
     std::remove(snapshot_path.c_str());
     bench::PrintTable(table);
 
-    std::printf("facade-latch vs page-latch (same mix, same data):\n");
-    for (uint32_t clients : std::vector<uint32_t>{2, 4, 8}) {
-      for (const char* mode_name : {"2PL-only", "MVCC"}) {
-        const RunPoint before = points[{clients, mode_name, false}];
-        const RunPoint after = points[{clients, mode_name, true}];
-        const double speedup =
-            before.throughput > 0 ? after.throughput / before.throughput
-                                  : 0.0;
-        const double wait_reduction =
-            after.facade_wait > 0
-                ? static_cast<double>(before.facade_wait) /
-                      static_cast<double>(after.facade_wait)
-                : 0.0;
-        const std::string reduction =
-            after.facade_wait == 0 ? std::string("eliminated")
-                                   : Format("%.1fx less", wait_reduction);
-        std::printf(
-            "  CLIENTN=%u %s: throughput %.0f -> %.0f txn/s (%.2fx), "
-            "facade wait %s -> %s (%s), page wait %s\n",
-            clients, mode_name, before.throughput, after.throughput,
-            speedup, HumanDuration(before.facade_wait).c_str(),
-            HumanDuration(after.facade_wait).c_str(), reduction.c_str(),
-            HumanDuration(after.page_wait).c_str());
-      }
-    }
-    std::printf("version-store behaviour (page-latch rows):\n");
+    std::printf("version-store behaviour:\n");
     for (const std::string& line : gc_lines) {
       std::printf("%s\n", line.c_str());
     }
-    std::printf("per-client breakdown (page-latch rows):\n");
+    std::printf("per-client breakdown:\n");
     for (const std::string& line : per_client_lines) {
       std::printf("%s\n", line.c_str());
     }
@@ -1111,7 +1065,7 @@ int main() {
   if (SectionEnabled("cc")) {
     // --- CC section: CC_ALG × CLIENTN on read-mostly vs write-hot -------
     //
-    // The concurrency-control axis (TxnOptions::cc): one storm run three
+    // The concurrency-control axis (writer TxnMode): one storm run three
     // times, every transaction under strict 2PL, then snapshot-isolation
     // writers, then Silo OCC. Read-mostly (eight scattered reads, an
     // occasional write into the big pool) is the optimistic algorithms'
@@ -1154,13 +1108,10 @@ int main() {
               std::chrono::steady_clock::now().time_since_epoch())
               .count());
     };
-    const CcAlgorithm algos[] = {CcAlgorithm::kStrict2PL,
-                                 CcAlgorithm::kSnapshotIsolation,
-                                 CcAlgorithm::kSiloOCC};
     for (const char* mix : {"read-mostly", "write-hot"}) {
       const bool write_hot = std::strcmp(mix, "write-hot") == 0;
       for (uint32_t clients : std::vector<uint32_t>{2, 8}) {
-        for (const CcAlgorithm cc : algos) {
+        for (const TxnMode cc : {TxnMode::k2PL, TxnMode::kSI, TxnMode::kOCC}) {
           Database db(storage);
           if (!LoadSnapshot(&db, cc_snapshot).ok()) {
             std::fprintf(stderr, "snapshot load failed\n");
@@ -1180,12 +1131,10 @@ int main() {
           for (uint32_t c = 0; c < clients; ++c) {
             workers.emplace_back([&, c]() {
               auto session = db.OpenSession();
-              TxnOptions options;
-              options.cc = cc;
               std::mt19937 rng(17 + c);
               start_sync.arrive_and_wait();
               for (uint32_t round = 0; round < cc_rounds; ++round) {
-                auto txn = session.Begin(options);
+                auto txn = session.Begin(cc);
                 bool lost = false;
                 if (write_hot) {
                   // Two hot-set read-modify-writes, ascending (a fair
@@ -1248,7 +1197,7 @@ int main() {
               wall == 0 ? 0.0
                         : static_cast<double>(done) * 1e9 /
                               static_cast<double>(wall);
-          const char* algo = CcAlgorithmToString(cc);
+          const char* algo = TxnModeToString(cc);
           if (clients == 8) {
             cc_points[{mix, algo}] = CcPoint{tps, abort_rate, true};
           }
@@ -1295,17 +1244,17 @@ int main() {
 
   bench::PrintNote(
       "CLIENTN > 1 runs real std::thread clients over one shared engine. "
-      "Latch section: 'facade' re-creates the pre-refactor substrate "
-      "(every operation holds one big latch across its physical I/O); "
-      "'page' is the striped buffer pool with per-frame reader/writer "
-      "latches. Shard section: SHARDN independent Database shards — "
+      "Latch section: 'locking' readers take S locks, 'snapshot' readers "
+      "pin a ReadView; both run on the striped buffer pool with "
+      "per-frame reader/writer latches. Shard section: SHARDN independent "
+      "Database shards — "
       "per-shard lock managers, version stores, buffer pools — behind "
       "hash-by-oid routing; single-shard transactions skip 2PC, "
       "cross-shard ones prepare on every writer shard and commit under "
       "one coordinator timestamp, and MVCC readers pin one global "
       "snapshot point across all shards; the coordinator's global "
       "wait-for graph refuses cross-shard deadlock cycles that no "
-      "per-shard detector can see. Caveat (same as the latch section's): "
+      "per-shard detector can see. Caveat: "
       "on a single-core host 2PL-only lock wait is object-conflict and "
       "scheduler bound — conflicts are identical at every SHARDN, so "
       "expect parity there and read the sharding win off the MVCC rows; "

@@ -24,7 +24,7 @@ HISTOGRAM_KEYS = {"count", "mean", "p50", "p95", "p99", "max"}
 # benches that adopt the sink add their sections here.
 SECTION_KEYS = {
     "latch": {
-        "clients", "mode", "latching", "committed", "aborts", "abort_rate",
+        "clients", "mode", "committed", "aborts", "abort_rate",
         "throughput_tps", "wall_micros", "lock_wait_nanos",
         "facade_wait_nanos", "page_latch_wait_nanos", "buffer_hit_ratio",
     },

@@ -56,8 +56,9 @@ int main() {
 
   // --- Part 1: the Session API ------------------------------------------
 
-  // A Session is a client's connection: cheap, holds the TxnOptions
-  // defaults its transactions begin with.
+  // A Session is a client's connection: a cheap factory of transactions.
+  // Begin() takes one TxnMode — kSnapshotRead, k2PL (default), kSI or
+  // kOCC — so an invalid combination of options cannot be written.
   Session session = db.OpenSession();
   const std::vector<Oid> roots = db.LiveOidsSnapshot();
 
@@ -110,15 +111,27 @@ int main() {
 
   {
     // MVCC snapshot reader: pinned ReadView, no locks, never blocks.
-    TxnOptions ro;
-    ro.read_only = true;
-    auto reader = session.Begin(ro);
+    auto reader = session.Begin(TxnMode::kSnapshotRead);
     auto scan = reader.GetMany(
         std::vector<Oid>(roots.begin(), roots.begin() + 32));
-    std::printf("snapshot reader read %zu objects, lock wait %llu ns\n\n",
+    std::printf("snapshot reader read %zu objects, lock wait %llu ns\n",
                 scan.ok() ? scan->size() : 0,
                 (unsigned long long)reader.lock_wait_nanos());
     (void)reader.Commit();
+  }
+
+  {
+    // Snapshot-isolation writer: reads its pinned snapshot, buffers Put,
+    // and validates first-committer-wins at commit. Multi-object
+    // reference choreography needs k2PL and is refused (NotSupported).
+    auto writer = session.Begin(TxnMode::kSI);
+    auto obj = writer.Get(roots[4]);
+    if (!obj.ok()) return 1;
+    Status put = writer.Put(obj.value());  // An in-place rewrite.
+    Status link = writer.SetReference(roots[4], 0, roots[5]);
+    std::printf("SI writer: Put %s, SetReference %s, commit %s\n\n",
+                put.ToString().c_str(), link.ToString().c_str(),
+                writer.Commit().ToString().c_str());
   }
 
   // --- Part 2: CLIENTN clients over one shared engine -------------------

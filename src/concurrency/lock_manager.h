@@ -121,10 +121,10 @@ class LockManager {
   bool IsXLockedByOther(Oid oid, TxnId self) const;
 
   /// Current / new deadlock victim policy. The setter is safe to call at
-  /// any time (it takes the table mutex) but, like SetMvccEnabled, is
-  /// meant to be flipped between runs: all clients of one run share one
-  /// policy (ProtocolRunner applies WorkloadParameters::deadlock_policy
-  /// at construction).
+  /// any time (it takes the table mutex) but is meant to be flipped
+  /// between runs: all clients of one run share one policy
+  /// (ProtocolRunner applies WorkloadParameters::deadlock_policy at
+  /// construction).
   DeadlockPolicy victim_policy() const;
   void SetVictimPolicy(DeadlockPolicy policy);
 

@@ -24,13 +24,15 @@ const char* DeadlockPolicyToString(DeadlockPolicy policy) {
   return "?";
 }
 
-const char* CcAlgorithmToString(CcAlgorithm cc) {
-  switch (cc) {
-    case CcAlgorithm::kStrict2PL:
+const char* TxnModeToString(TxnMode mode) {
+  switch (mode) {
+    case TxnMode::kSnapshotRead:
+      return "snapshot-read";
+    case TxnMode::k2PL:
       return "2pl";
-    case CcAlgorithm::kSnapshotIsolation:
+    case TxnMode::kSI:
       return "si";
-    case CcAlgorithm::kSiloOCC:
+    case TxnMode::kOCC:
       return "occ";
   }
   return "?";

@@ -63,28 +63,33 @@ enum class DeadlockPolicy : uint8_t {
 
 const char* DeadlockPolicyToString(DeadlockPolicy policy);
 
-/// Concurrency-control algorithm for read-write transactions (the
-/// CC_ALG axis; see ARCHITECTURE.md "Concurrency control algorithms").
-enum class CcAlgorithm : uint8_t {
+/// How a transaction runs: one value picks both whether it may write and
+/// its concurrency-control scheme (see ARCHITECTURE.md "Concurrency
+/// control algorithms"), so no invalid combination can be requested.
+enum class TxnMode : uint8_t {
+  /// MVCC snapshot reader: a ReadView is pinned at begin, reads resolve
+  /// through the version store without locks (never block, never
+  /// deadlock), and every write is refused with InvalidArgument.
+  kSnapshotRead = 0,
   /// Strict two-phase locking: S locks on reads, X locks on writes,
-  /// in-place writes with undo logging. The default path, unchanged.
-  kStrict2PL = 0,
+  /// in-place writes with undo logging. The default.
+  k2PL,
   /// Snapshot isolation: reads resolve against a ReadView pinned at
   /// begin, writes are buffered in the transaction context, and commit
   /// validates first-committer-wins against version-store commit
   /// timestamps — a concurrent commit to any written object since the
   /// snapshot aborts this transaction with Status::WriteConflict.
   /// Admits write skew (disjoint write sets, intersecting read sets).
-  kSnapshotIsolation,
+  kSI,
   /// Silo-style optimistic CC: no S locks ever. Reads record per-object
   /// version stamps; commit X-locks the write set in ascending oid
   /// order, validates that every read stamp is unchanged (and no other
   /// writer holds the object), then stamps through the ordinary commit
   /// pipeline. Serializable: conflicts surface as Status::WriteConflict.
-  kSiloOCC,
+  kOCC,
 };
 
-const char* CcAlgorithmToString(CcAlgorithm cc);
+const char* TxnModeToString(TxnMode mode);
 
 /// Transaction lifecycle state. kPrepared is the two-phase-commit limbo a
 /// cross-shard participant enters between Database::PrepareTxn and the
@@ -118,8 +123,8 @@ struct BufferedWrite {
 /// \brief State of one in-flight transaction.
 class TransactionContext {
  public:
-  explicit TransactionContext(TxnId id, bool read_only = false)
-      : id_(id), read_only_(read_only) {}
+  explicit TransactionContext(TxnId id, TxnMode mode = TxnMode::k2PL)
+      : id_(id), mode_(mode) {}
 
   TransactionContext(const TransactionContext&) = delete;
   TransactionContext& operator=(const TransactionContext&) = delete;
@@ -132,17 +137,21 @@ class TransactionContext {
   /// True for MVCC readers: object reads resolve against the snapshot
   /// pinned at BeginTxn (no S locks taken, so this txn never deadlocks),
   /// and every write operation is refused with InvalidArgument.
-  bool read_only() const { return read_only_; }
+  bool read_only() const { return mode_ == TxnMode::kSnapshotRead; }
 
-  /// Concurrency-control algorithm this transaction runs under
-  /// (read-write transactions; readers are plain snapshot readers).
-  CcAlgorithm cc() const { return cc_; }
+  /// The mode this transaction was begun with.
+  TxnMode mode() const { return mode_; }
+
+  /// True for the lock-free writer modes (SI, OCC): reads take no S
+  /// locks and writes are buffered until commit-time finalization.
+  bool optimistic() const {
+    return mode_ == TxnMode::kSI || mode_ == TxnMode::kOCC;
+  }
 
   /// True when object reads resolve through a pinned ReadView: MVCC
   /// readers, and SI writers (whose reads come from their snapshot).
   bool uses_snapshot_reads() const {
-    return read_only_ ||
-           (owns_view_ && cc_ == CcAlgorithm::kSnapshotIsolation);
+    return mode_ == TxnMode::kSnapshotRead || mode_ == TxnMode::kSI;
   }
 
   /// True when this transaction has work to commit: in-place undo-logged
@@ -196,9 +205,8 @@ class TransactionContext {
   friend class Database;     ///< Maintains undo_log_, state_, CC state.
 
   TxnId id_;
-  bool read_only_ = false;
+  TxnMode mode_;
   TxnState state_ = TxnState::kActive;
-  CcAlgorithm cc_ = CcAlgorithm::kStrict2PL;
   std::unordered_map<Oid, LockMode> held_locks_;
   std::vector<UndoRecord> undo_log_;
   std::unordered_set<Oid> undo_logged_;  ///< Oids with a pre-image already.
@@ -207,7 +215,7 @@ class TransactionContext {
   uint64_t snapshot_reads_ = 0;  ///< Reads served through the ReadView.
   /// True when this context owns an open ReadView that commit/abort must
   /// close: MVCC readers AND SI writers (whose snapshot_ts_ pins their
-  /// read snapshot). Keyed on this, not read_only_.
+  /// read snapshot). Cleared once the view is closed.
   bool owns_view_ = false;
   /// SI/OCC: writes buffered until commit-time finalization (applied
   /// in-place only after validation, under X locks).

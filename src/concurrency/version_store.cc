@@ -152,13 +152,6 @@ CommitTs VersionStore::latest() const {
   return last_commit_ts_;
 }
 
-CommitTs VersionStore::AllocateTimestamps(uint64_t n) {
-  if (n == 0) return 0;
-  MutexLock lock(commit_mu_);
-  last_commit_ts_ += n;
-  return last_commit_ts_;
-}
-
 void VersionStore::AdvanceLatest(CommitTs ts) {
   MutexLock lock(commit_mu_);
   if (ts > last_commit_ts_) last_commit_ts_ = ts;

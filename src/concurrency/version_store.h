@@ -182,14 +182,6 @@ class VersionStore {
   /// sees every committed write and no in-flight one.
   CommitTs latest() const;
 
-  /// Draws \p n fresh consecutive commit timestamps without stamping
-  /// anything, returning the *last* (largest) one; 0 when \p n is 0. The
-  /// WAL path uses this when MVCC stamping is off: committed transactions
-  /// still need distinct log timestamps on the same monotonic axis that
-  /// stamping would have used. Serializes on commit_mu_ like every other
-  /// timestamp draw.
-  CommitTs AllocateTimestamps(uint64_t n);
-
   /// Advances latest() to max(latest(), ts). Recovery calls this after
   /// replay so the timestamp axis resumes past every replayed commit;
   /// never call it while transactions are in flight.

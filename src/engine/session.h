@@ -6,8 +6,9 @@
 /// first-class RAII objects:
 ///
 ///   Engine (Database | ShardedDatabase)
-///     └─ OpenSession()            → Session (cheap; a factory + defaults)
-///          └─ Begin(TxnOptions)   → Transaction (RAII)
+///     └─ OpenSession()            → Session (cheap; a transaction factory)
+///          └─ Begin(TxnMode)      → Transaction (RAII), e.g.
+///               Begin(TxnMode::kSI) for a snapshot-isolation writer
 ///               ├─ Get / Put / SetReference / Delete / Create / CrossLink
 ///               ├─ GetMany(span)  — batched read, ONE sorted lock pass
 ///               ├─ Apply(WriteBatch&&) — batched writes, ONE footprint sort
@@ -22,9 +23,9 @@
 ///     Legacy (non-transactional) brackets auto-close the observer
 ///     transaction.
 ///   * **Typed lifecycle errors, never UB** — using a committed/aborted
-///     transaction, double commit, writes through a read-only one: all
-///     return Status::InvalidArgument (checked here *and* engine-side).
-///     Abort is idempotent.
+///     transaction, double commit, writes through a kSnapshotRead one:
+///     all return Status::InvalidArgument (checked here *and*
+///     engine-side). Abort is idempotent.
 ///   * **Batching** — GetMany/Apply sort their lock footprint once and
 ///     acquire in ascending oid order (no two batches can deadlock each
 ///     other on static footprints); Traverse crosses the API once per
@@ -50,7 +51,6 @@
 
 #include <chrono>
 
-#include "concurrency/txn_options.h"
 #include "engine/write_batch.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
@@ -100,13 +100,11 @@ class TransactionT {
       : db_(other.db_),
         handle_(std::move(other.handle_)),
         legacy_(other.legacy_),
-        options_(other.options_),
-        begin_status_(std::move(other.begin_status_)),
+        mode_(other.mode_),
         begin_nanos_(other.begin_nanos_),
         commit_nanos_(other.commit_nanos_) {
     other.db_ = nullptr;
     other.legacy_ = false;
-    other.begin_status_ = Status::OK();
     other.begin_nanos_ = 0;
   }
 
@@ -116,13 +114,11 @@ class TransactionT {
       db_ = other.db_;
       handle_ = std::move(other.handle_);
       legacy_ = other.legacy_;
-      options_ = other.options_;
-      begin_status_ = std::move(other.begin_status_);
+      mode_ = other.mode_;
       begin_nanos_ = other.begin_nanos_;
       commit_nanos_ = other.commit_nanos_;
       other.db_ = nullptr;
       other.legacy_ = false;
-      other.begin_status_ = Status::OK();
       other.begin_nanos_ = 0;
     }
     return *this;
@@ -136,16 +132,8 @@ class TransactionT {
   /// bracket closes the observer transaction.
   ~TransactionT() { Dispose(); }
 
-  /// True while this handle is attached to an engine (not moved-from,
-  /// not refused at Begin).
+  /// True while this handle is attached to an engine (not moved-from).
   bool valid() const { return db_ != nullptr; }
-
-  /// Why Session::Begin refused this transaction (OK when it did not):
-  /// a nonsensical {read_only, isolation, cc} combination is refused
-  /// with typed InvalidArgument instead of silently running as 2PL —
-  /// the handle comes back *poisoned*, and every operation (including
-  /// Commit/Abort) returns this status.
-  const Status& begin_status() const { return begin_status_; }
 
   /// True for legacy (non-transactional) brackets.
   bool legacy() const { return legacy_; }
@@ -156,7 +144,6 @@ class TransactionT {
   /// became an abort and everything rolled back.
   Status Commit() {
     if (db_ == nullptr) {
-      if (!begin_status_.ok()) return begin_status_;
       return Status::InvalidArgument("Commit on an empty Transaction");
     }
     if (legacy_) {
@@ -189,7 +176,6 @@ class TransactionT {
   /// aborting a committed one is InvalidArgument.
   Status Abort() {
     if (db_ == nullptr) {
-      if (!begin_status_.ok()) return begin_status_;
       return Status::InvalidArgument("Abort on an empty Transaction");
     }
     if (legacy_) {
@@ -346,26 +332,13 @@ class TransactionT {
     return db_ == nullptr ? TxnState::kCommitted : TxnState::kActive;
   }
 
-  /// True when the engine runs this transaction as an MVCC snapshot
-  /// reader (what was *asked for* lives in options().read_only — the
-  /// engine downgrades when MVCC is disabled).
+  /// True for a kSnapshotRead transaction (an MVCC snapshot reader).
   bool read_only() const {
-    return handle_ != nullptr && handle_->read_only();
+    return !legacy_ && mode_ == TxnMode::kSnapshotRead;
   }
 
-  /// The options Session::Begin was called with.
-  const TxnOptions& options() const { return options_; }
-
-  /// The concurrency-control algorithm the engine actually runs this
-  /// transaction under (the engine may degrade — e.g. MVCC disabled
-  /// forces kStrict2PL before the session-level refusal existed).
-  CcAlgorithm cc() const {
-    if constexpr (requires(const Handle& h) { h.cc(); }) {
-      return handle_ == nullptr ? options_.cc : handle_->cc();
-    } else {
-      return options_.cc;
-    }
-  }
+  /// The mode Session::Begin was called with.
+  TxnMode mode() const { return mode_; }
 
   uint64_t lock_wait_nanos() const {
     return handle_ == nullptr ? 0 : handle_->lock_wait_nanos();
@@ -406,17 +379,9 @@ class TransactionT {
  private:
   friend class SessionT<DB>;
 
-  /// A *poisoned* transaction: Session::Begin refused \p options. Not
-  /// attached to any engine; every operation returns \p refusal.
-  TransactionT(Status refusal, TxnOptions options)
-      : options_(options), begin_status_(std::move(refusal)) {}
-
-  TransactionT(DB* db, std::unique_ptr<Handle> handle, TxnOptions options,
+  TransactionT(DB* db, std::unique_ptr<Handle> handle, TxnMode mode,
                bool legacy)
-      : db_(db),
-        handle_(std::move(handle)),
-        legacy_(legacy),
-        options_(options) {
+      : db_(db), handle_(std::move(handle)), legacy_(legacy), mode_(mode) {
 #ifndef OCB_OBS_DISABLED
     // Stamp the lifetime-span start only when tracing is live (no clock
     // read otherwise). 0 means "no span pending".
@@ -464,7 +429,6 @@ class TransactionT {
 
   Status CheckUsable(const char* op) const {
     if (db_ == nullptr) {
-      if (!begin_status_.ok()) return begin_status_;
       return Status::InvalidArgument(
           Format("%s on an empty (finished or moved-from) Transaction",
                  op));
@@ -478,12 +442,11 @@ class TransactionT {
     return Status::OK();
   }
 
-  /// API-level read-only refusal: covers the kStrict2PL read-only case
-  /// the engine cannot see (its handle is a plain locking transaction).
+  /// API-level read-only refusal (the engine refuses as well).
   Status CheckWritable(const char* op) const {
-    if (!legacy_ && options_.read_only) {
+    if (read_only()) {
       return Status::InvalidArgument(
-          Format("%s refused: transaction opened read-only", op));
+          Format("%s refused: transaction opened in kSnapshotRead", op));
     }
     return Status::OK();
   }
@@ -502,9 +465,8 @@ class TransactionT {
     // serve reads from the version store; prefetching would charge I/O
     // those reads never perform. OCC reads committed-latest, which
     // nearly always falls through to the store — keep its prefetch.
-    if (!legacy_ && handle_ != nullptr &&
-        (handle_->read_only() ||
-         options_.cc == CcAlgorithm::kSnapshotIsolation)) {
+    if (!legacy_ &&
+        (mode_ == TxnMode::kSnapshotRead || mode_ == TxnMode::kSI)) {
       return;
     }
     (void)db_->PrefetchObjects(frontier);
@@ -674,10 +636,7 @@ class TransactionT {
   DB* db_ = nullptr;
   std::unique_ptr<Handle> handle_;
   bool legacy_ = false;
-  TxnOptions options_;
-  /// Session::Begin's refusal when this handle was born poisoned (see
-  /// begin_status()); OK for every attached handle.
-  Status begin_status_;
+  TxnMode mode_ = TxnMode::k2PL;
   /// Trace-epoch stamp of Begin when the recorder was live (0 = no
   /// pending lifetime span).
   uint64_t begin_nanos_ = 0;
@@ -686,45 +645,19 @@ class TransactionT {
 };
 
 /// \brief A client's connection to an engine: a factory of RAII
-/// transactions plus the TxnOptions defaults they begin with. Cheap to
-/// create (pointer + options); any number of transactions may be live
-/// per session, each driven by one thread.
+/// transactions. Cheap to create (one pointer); any number of
+/// transactions may be live per session, each driven by one thread.
 template <typename DB>
 class SessionT {
  public:
-  explicit SessionT(DB* db, TxnOptions defaults = TxnOptions())
-      : db_(db), defaults_(defaults) {}
+  explicit SessionT(DB* db) : db_(db) {}
 
-  /// Begins a transaction with this session's default options.
-  TransactionT<DB> Begin() { return Begin(defaults_); }
-
-  /// Begins a transaction. The option matrix is validated first
-  /// (ValidateTxnOptions): nonsensical combinations — a read-only txn
-  /// asking for SI/OCC write machinery, a writer pinning kSnapshot
-  /// isolation under 2PL, kStrict2PL isolation paired with an optimistic
-  /// algorithm, or any non-2PL algorithm on an MVCC-disabled engine —
-  /// yield a *poisoned* handle: valid() is false, begin_status() carries
-  /// the typed InvalidArgument, and Commit/Abort return it verbatim.
-  ///
-  /// For accepted options: read_only with kDefault/kSnapshot isolation
-  /// becomes an MVCC snapshot reader (engine MVCC permitting), and
-  /// options.cc selects the concurrency-control algorithm for writers.
-  /// A *set* deadlock policy is forwarded to the engine's lock managers
-  /// when it differs (engine-wide — all sessions of one run must agree,
-  /// the SetMvccEnabled discipline; unset keeps the engine's policy).
-  TransactionT<DB> Begin(const TxnOptions& options) {
-    Status valid = ValidateTxnOptions(options, db_->mvcc_enabled());
-    if (!valid.ok()) {
-      return TransactionT<DB>(std::move(valid), options);
-    }
-    if (options.deadlock_policy.has_value() &&
-        *options.deadlock_policy != db_->deadlock_policy()) {
-      db_->SetDeadlockPolicy(*options.deadlock_policy);
-    }
-    const bool snapshot = options.read_only &&
-                          options.isolation != IsolationLevel::kStrict2PL;
-    return TransactionT<DB>(db_, db_->BeginTxn(snapshot, options.cc),
-                            options, /*legacy=*/false);
+  /// Begins a transaction in \p mode (see TxnMode): kSnapshotRead is an
+  /// MVCC snapshot reader, k2PL/kSI/kOCC pick the writer's
+  /// concurrency-control scheme.
+  TransactionT<DB> Begin(TxnMode mode = TxnMode::k2PL) {
+    return TransactionT<DB>(db_, db_->BeginTxn(mode), mode,
+                            /*legacy=*/false);
   }
 
   /// Begins a *legacy* bracket: no locks, no undo, seed-exact single-
@@ -732,16 +665,13 @@ class SessionT {
   /// transaction boundaries fire.
   TransactionT<DB> BeginLegacy() {
     db_->BeginTransaction();
-    return TransactionT<DB>(db_, nullptr, TxnOptions(), /*legacy=*/true);
+    return TransactionT<DB>(db_, nullptr, TxnMode::k2PL, /*legacy=*/true);
   }
 
   DB* engine() { return db_; }
-  const TxnOptions& defaults() const { return defaults_; }
-  void set_defaults(const TxnOptions& options) { defaults_ = options; }
 
  private:
   DB* db_;
-  TxnOptions defaults_;
 };
 
 /// The single-store session (the canonical names).

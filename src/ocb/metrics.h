@@ -64,10 +64,8 @@ struct PhaseMetrics {
   uint64_t lock_wait_nanos = 0;
 
   /// Latch behaviour (physical wait, all transactions of the phase): time
-  /// client threads spent blocked on the Database facade latch vs on page
-  /// latches. With per-page latching the facade component collapses to the
-  /// catalog latch's short critical sections; the serialize-physical
-  /// baseline re-creates the old big-latch convoy and shows up here.
+  /// client threads spent blocked on the Database catalog latch vs on page
+  /// latches.
   uint64_t facade_wait_nanos = 0;
   uint64_t page_latch_wait_nanos = 0;
 

@@ -162,7 +162,7 @@ struct WorkloadParameters {
   /// four traversals and Scan) as MVCC snapshot readers: a ReadView is
   /// pinned at begin, reads resolve through the version store without
   /// taking S locks, so readers never wait on writers and never abort.
-  /// Disable to measure the pure-2PL baseline (readers block behind
+  /// Disable to run readers as k2PL transactions too (they block behind
   /// writers' X locks). Ignored on the legacy path.
   bool mvcc_snapshot_reads = true;
 
@@ -173,7 +173,7 @@ struct WorkloadParameters {
   uint32_t group_commit_max_batch = 32;
 
   /// Deadlock victim policy applied engine-wide for the run (forwarded
-  /// by ProtocolRunner and by Session::Begin via TxnOptions).
+  /// by ProtocolRunner).
   DeadlockPolicy deadlock_policy = DeadlockPolicy::kCycleCloser;
 
   /// Reference type followed by hierarchy traversals (paper Fig. 3

@@ -90,12 +90,9 @@ ProtocolRunnerT<DB>::ProtocolRunnerT(DB* db,
   const bool txn_mode = params_.transactional || params_.client_count > 1;
   executor_.set_transactional(txn_mode);
   if (txn_mode) {
-    // Propagate the run-wide engine knobs: the MVCC choice (a disabled
-    // run — the pure-2PL baseline — skips version publication entirely),
-    // the group-commit batch cap, and the deadlock victim policy. All
-    // clients of one run share the same parameters, so concurrent
-    // construction writes the same values.
-    db_->SetMvccEnabled(params_.mvcc_snapshot_reads);
+    // Propagate the run-wide engine knobs: the group-commit batch cap and
+    // the deadlock victim policy. All clients of one run share the same
+    // parameters, so concurrent construction writes the same values.
     db_->SetGroupCommitMaxBatch(params_.group_commit_max_batch);
     db_->SetDeadlockPolicy(params_.deadlock_policy);
   }

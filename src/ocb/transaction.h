@@ -63,10 +63,7 @@ struct TransactionResult {
 
   /// Wall time this transaction's thread spent blocked on *latches*
   /// (physical, operation-lifetime — distinct from lock_wait_nanos above):
-  /// the Database facade/catalog latch vs page-level latches. The split is
-  /// the headline measurement of the per-page-latching refactor — in
-  /// serialize-physical mode facade wait dominates, with page latches it
-  /// collapses to the catalog latch's short critical sections.
+  /// the Database catalog latch vs page-level latches.
   uint64_t facade_wait_nanos = 0;
   uint64_t page_latch_wait_nanos = 0;
 
@@ -94,8 +91,7 @@ bool IsReadOnlyTransactionType(TransactionType type);
 /// error status). Read-only transaction types additionally run as MVCC
 /// snapshot readers when WorkloadParameters::mvcc_snapshot_reads is set
 /// — no S locks, no lock waits, no aborts. In the default legacy mode
-/// Execute behaves exactly as the seed did — facade-serialized, never
-/// aborted.
+/// Execute behaves exactly as the seed did — no locks, never aborted.
 template <typename DB>
 class TransactionExecutorT {
  public:
@@ -176,16 +172,10 @@ Result<TransactionResult> TransactionExecutorT<DB>::Execute(
   TransactionT<DB> txn;
   Status txn_failure;
   if (transactional_) {
-    TxnOptions options;
-    options.read_only =
+    result.read_only =
         params_.mvcc_snapshot_reads && IsReadOnlyTransactionType(type);
-    // deadlock_policy stays unset: ProtocolRunner applied the run-wide
-    // WorkloadParameters::deadlock_policy once at construction, and an
-    // unset option never touches (or re-reads) the engine's policy.
-    txn = session_.Begin(options);
-    // BeginTxn downgrades to a locking txn when MVCC is disabled
-    // database-wide; report what actually ran.
-    result.read_only = txn.read_only();
+    txn = session_.Begin(result.read_only ? TxnMode::kSnapshotRead
+                                          : TxnMode::k2PL);
   } else {
     txn = session_.BeginLegacy();
   }

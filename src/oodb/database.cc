@@ -28,6 +28,8 @@ Database::Database(const StorageOptions& options)
         wal::WalWriter::Open(options_.wal_path, options_.wal_segment_bytes);
     if (wal.ok()) {
       wal_ = std::move(wal).value();
+      wal_recovery_pending_.store(wal_->found_commits(),
+                                  std::memory_order_release);
     } else {
       wal_open_status_ = wal.status();
     }
@@ -207,15 +209,6 @@ void Database::SetSchema(Schema schema) {
   schema_ = std::move(schema);
 }
 
-std::unique_lock<std::recursive_mutex> Database::FacadeGate(bool force) {
-  if (!force && !serialize_physical_.load(std::memory_order_relaxed)) {
-    return {};
-  }
-  LatchFacadeExclusive(serial_mu_);
-  return std::unique_lock<std::recursive_mutex>(serial_mu_,
-                                                std::adopt_lock);
-}
-
 void Database::NotifyObjectAccess(Oid oid) {
   MutexLock lock(observer_mu_);
   if (observer_ != nullptr) observer_->OnObjectAccess(oid);
@@ -229,30 +222,20 @@ void Database::NotifyLinkCross(Oid from, Oid to, RefTypeId type,
 
 // --- Transaction lifecycle ---
 
-std::unique_ptr<TransactionContext> Database::BeginTxn(bool read_only,
-                                                       CcAlgorithm cc) {
+std::unique_ptr<TransactionContext> Database::BeginTxn(TxnMode mode) {
   return BeginTxnWithId(next_txn_id_.fetch_add(1, std::memory_order_relaxed),
-                        read_only, cc);
+                        mode);
 }
 
-std::unique_ptr<TransactionContext> Database::BeginTxnWithId(
-    TxnId id, bool read_only, CcAlgorithm cc) {
+std::unique_ptr<TransactionContext> Database::BeginTxnWithId(TxnId id,
+                                                             TxnMode mode) {
   // The GC thread exists only once someone transacts: legacy
   // single-client users (generators, the seed benches) never pay for it.
   std::call_once(gc_once_, [this]() {
     gc_thread_ = std::thread([this]() { GcLoop(); });
   });
-  // Without MVCC, a "read-only" txn is just a locking txn that happens
-  // not to write — the pure-2PL baseline. SI/OCC are built on the
-  // version store, so they degrade to 2PL too (the session layer refuses
-  // them up front; this is the belt for internal callers).
-  if (!mvcc_enabled()) {
-    read_only = false;
-    cc = CcAlgorithm::kStrict2PL;
-  }
-  auto txn = std::make_unique<TransactionContext>(id, read_only);
-  txn->cc_ = read_only ? CcAlgorithm::kStrict2PL : cc;
-  if (read_only || txn->cc_ == CcAlgorithm::kSnapshotIsolation) {
+  auto txn = std::make_unique<TransactionContext>(id, mode);
+  if (txn->uses_snapshot_reads()) {
     // Pin the ReadView atomically against commit stamping and GC. An SI
     // writer reads from its pinned view exactly like a reader does.
     txn->snapshot_ts_ = version_store_.OpenSnapshot(&read_views_);
@@ -270,7 +253,7 @@ std::unique_ptr<TransactionContext> Database::BeginSnapshotTxnAt(
   std::call_once(gc_once_, [this]() {
     gc_thread_ = std::thread([this]() { GcLoop(); });
   });
-  auto txn = std::make_unique<TransactionContext>(id, /*read_only=*/true);
+  auto txn = std::make_unique<TransactionContext>(id, TxnMode::kSnapshotRead);
   // Registration serializes on the version store's commit mutex, so this
   // shard's GC can never reclaim a version the view still needs. The
   // caller (the coordinator) excludes cross-shard half-commits by opening
@@ -289,8 +272,7 @@ std::unique_ptr<TransactionContext> Database::BeginSiWriterTxnAt(CommitTs ts,
   std::call_once(gc_once_, [this]() {
     gc_thread_ = std::thread([this]() { GcLoop(); });
   });
-  auto txn = std::make_unique<TransactionContext>(id, /*read_only=*/false);
-  txn->cc_ = CcAlgorithm::kSnapshotIsolation;
+  auto txn = std::make_unique<TransactionContext>(id, TxnMode::kSI);
   // Same GC-safety argument as BeginSnapshotTxnAt: the view registers
   // under the version store's commit mutex at the coordinator-chosen
   // global snapshot.
@@ -347,8 +329,10 @@ Status Database::CommitTxnInternal(TransactionContext* txn,
   // SI/OCC commits entering here directly (not through the pipeline or
   // 2PC prepare, which already finalized) validate and apply now. On a
   // validation loss the transaction aborts — rollback, seal, release —
-  // and the caller sees the typed conflict.
+  // and the caller sees the typed conflict. Coordinated commits
+  // (external_ts != 0) were vetted by the ShardedDatabase.
   if (txn->active()) {
+    if (external_ts == 0) OCB_RETURN_NOT_OK(RefuseUnrecoveredWal(txn));
     Status fin = FinalizeCc(txn);
     if (!fin.ok()) {
       AbortTxnInternal(txn, external_ts);
@@ -358,8 +342,7 @@ Status Database::CommitTxnInternal(TransactionContext* txn,
   txn->state_ = TxnState::kCommitted;
   Status wal_status = Status::OK();
   if (txn->owns_view_) {
-    // MVCC readers and SI writers: unpin the ReadView (keyed on view
-    // ownership, not read_only_ — an SI writer owns one too).
+    // MVCC readers and SI writers: unpin the ReadView.
     read_views_.Close(ReadView{txn->snapshot_ts_});
     txn->owns_view_ = false;
     gc_cv_.notify_all();  // The oldest snapshot may have advanced.
@@ -370,16 +353,10 @@ Status Database::CommitTxnInternal(TransactionContext* txn,
     // Pure readers on the locking path allocate no timestamp.
     obs::TraceSpan stamp_span("commit.stamp", "txn", txn->id(), "batch", 1);
     CommitTs wal_ts = external_ts;
-    if (mvcc_enabled()) {
-      if (external_ts != 0) {
-        version_store_.StampCommittedAt(txn->id(), external_ts);
-      } else {
-        wal_ts = version_store_.StampCommitted(txn->id());
-      }
-    } else if (wal_ != nullptr && external_ts == 0) {
-      // MVCC off: stamping draws no timestamp, but the log still needs a
-      // distinct commit ts on the same monotonic axis.
-      wal_ts = version_store_.AllocateTimestamps(1);
+    if (external_ts != 0) {
+      version_store_.StampCommittedAt(txn->id(), external_ts);
+    } else {
+      wal_ts = version_store_.StampCommitted(txn->id());
     }
     // A lone writer commit forces its own commit record (external_ts
     // means a coordinator drives this commit and charges the force once
@@ -428,6 +405,7 @@ Status Database::CommitTxnGrouped(TransactionContext* txn) {
   // Read-only commits only close a ReadView — no commit-mutex work to
   // amortize, so they skip the pipeline (and never wait behind a batch).
   if (txn->read_only()) return CommitTxnInternal(txn, /*external_ts=*/0);
+  OCB_RETURN_NOT_OK(RefuseUnrecoveredWal(txn));
   // SI/OCC: validate and apply on the *caller's* thread, before joining
   // the batch — the leader must never block on another member's lock
   // acquisitions, and a validation loss must not occupy a batch slot.
@@ -454,7 +432,7 @@ void Database::CommitBatch(
     auto* txn = static_cast<TransactionContext*>(req->handle);
     if (!txn->undo_log_.empty()) {
       writers.push_back(txn);
-      if (mvcc_enabled()) to_stamp.push_back(txn->id());
+      to_stamp.push_back(txn->id());
     }
   }
   Status wal_status =
@@ -469,10 +447,6 @@ void Database::CommitBatch(
     CommitTs last_ts = 0;
     if (!to_stamp.empty()) {
       last_ts = version_store_.StampCommittedBatch(to_stamp);
-    } else if (wal_ != nullptr && !writers.empty()) {
-      // MVCC off: draw the members' log timestamps on the same axis
-      // stamping would have used.
-      last_ts = version_store_.AllocateTimestamps(writers.size());
     }
     // ONE simulated commit-record force for the whole batch — the log
     // amortization that is group commit's classic payoff. Read-only and
@@ -571,9 +545,7 @@ Status Database::AbortTxnInternal(TransactionContext* txn,
   {
     // Roll back while the txn's X locks still shield the restored objects
     // from every other transaction; each physical step takes its own page
-    // latches. (In serialize-physical mode the whole rollback re-enters
-    // the facade latch, as the seed did.)
-    auto facade = FacadeGate();
+    // latches.
     auto& log = txn->undo_log_;
     const bool had_undo = !log.empty();
     for (auto it = log.rbegin(); it != log.rend(); ++it) {
@@ -620,7 +592,7 @@ Status Database::AbortTxnInternal(TransactionContext* txn,
     // with no undo published no versions: skip the seal so pure readers
     // on the locking path (and sharded reader participants) never draw a
     // timestamp.
-    if (had_undo && mvcc_enabled()) {
+    if (had_undo) {
       if (external_ts != 0) {
         version_store_.StampAbortedAt(txn->id(), external_ts);
       } else {
@@ -652,9 +624,7 @@ void Database::RecordPreImage(TransactionContext* txn, const Object& obj) {
   // happens before the first in-place write of this object (we hold its X
   // lock and have not written yet), which is the ordering SnapshotRead's
   // read-validate protocol depends on.
-  if (mvcc_enabled()) {
-    version_store_.PublishPreImage(txn->id(), obj.oid, record.pre_image);
-  }
+  version_store_.PublishPreImage(txn->id(), obj.oid, record.pre_image);
   txn->undo_log_.push_back(std::move(record));
 }
 
@@ -719,9 +689,7 @@ Result<Object> Database::OptimisticRead(TransactionContext* txn, Oid oid) {
     return obj;
   }
   if (txn->undo_logged_.count(oid) != 0) return ReadDecode(oid);
-  if (txn->cc() == CcAlgorithm::kSnapshotIsolation) {
-    return SnapshotRead(txn, oid);
-  }
+  if (txn->mode() == TxnMode::kSI) return SnapshotRead(txn, oid);
   // Silo OCC: committed-latest read inside a stamp-stability loop. An
   // unchanged last-committed-write stamp around the read proves the bytes
   // belong to exactly that stamp (stamps are stamped before lock release
@@ -748,8 +716,7 @@ Result<Object> Database::OptimisticRead(TransactionContext* txn, Oid oid) {
 }
 
 Status Database::FinalizeCc(TransactionContext* txn) {
-  if (txn == nullptr || txn->cc_ == CcAlgorithm::kStrict2PL ||
-      txn->cc_finalized_) {
+  if (txn == nullptr || !txn->optimistic() || txn->cc_finalized_) {
     return Status::OK();
   }
   // Phase 1: lock the write set, ascending oid order (std::map). Two
@@ -759,7 +726,7 @@ Status Database::FinalizeCc(TransactionContext* txn) {
     OCB_RETURN_NOT_OK(LockFor(txn, oid, LockMode::kExclusive));
   }
   // Phase 2: validate.
-  if (txn->cc_ == CcAlgorithm::kSnapshotIsolation) {
+  if (txn->mode() == TxnMode::kSI) {
     // First committer wins: anyone committing a write to our write set
     // after our snapshot invalidates us (covers blind writes too).
     for (const auto& [oid, write] : txn->write_buffer_) {
@@ -808,21 +775,18 @@ Status Database::FinalizeCc(TransactionContext* txn) {
   // Phase 3: apply the buffered writes in place under the held X locks —
   // pre-image publish + undo exactly like a 2PL Put, so everything
   // downstream (WAL, stamping, rollback) treats this as a plain writer.
-  {
-    auto facade = FacadeGate();
-    for (const auto& [oid, write] : txn->write_buffer_) {
-      if (txn->undo_logged_.count(oid) == 0) {
-        auto current = ReadDecode(oid);
-        if (!current.ok()) {
-          // A blind write to an object someone deleted: surface the
-          // NotFound (the caller aborts — nothing was applied for this
-          // oid, earlier applied writes are covered by undo).
-          return current.status();
-        }
-        RecordPreImage(txn, current.value());
+  for (const auto& [oid, write] : txn->write_buffer_) {
+    if (txn->undo_logged_.count(oid) == 0) {
+      auto current = ReadDecode(oid);
+      if (!current.ok()) {
+        // A blind write to an object someone deleted: surface the
+        // NotFound (the caller aborts — nothing was applied for this
+        // oid, earlier applied writes are covered by undo).
+        return current.status();
       }
-      OCB_RETURN_NOT_OK(store_->Update(oid, write.encoded));
+      RecordPreImage(txn, current.value());
     }
+    OCB_RETURN_NOT_OK(store_->Update(oid, write.encoded));
   }
   txn->write_buffer_.clear();
   txn->occ_read_set_.clear();
@@ -844,14 +808,23 @@ Status Database::RefuseReadOnly(const TransactionContext* txn,
 
 Status Database::RefuseNonLocking(const TransactionContext* txn,
                                   const char* op) {
-  if (txn != nullptr && txn->cc() != CcAlgorithm::kStrict2PL) {
+  if (txn != nullptr && txn->optimistic()) {
     return Status::NotSupported(
-        Format("%s refused under cc=%s: its multi-object choreography "
+        Format("%s refused under mode=%s: its multi-object choreography "
                "(symmetric backref maintenance) needs 2PL's eager write "
                "footprint; run this transaction under the default strict "
-               "2PL", op, CcAlgorithmToString(txn->cc())));
+               "2PL", op, TxnModeToString(txn->mode())));
   }
   return Status::OK();
+}
+
+Status Database::RefuseUnrecoveredWal(TransactionContext* txn) {
+  if (!txn->has_writes() || !wal_recovery_pending()) return Status::OK();
+  AbortTxnInternal(txn, /*external_ts=*/0);
+  return Status::InvalidArgument(
+      Format("commit refused: WAL '%s' holds commits of an earlier run; "
+             "replay it with wal::RecoverDatabase first",
+             options_.wal_path.c_str()));
 }
 
 Status Database::RefuseFinished(const TransactionContext* txn,
@@ -871,7 +844,8 @@ Result<Oid> Database::CreateObject(TransactionContext* txn,
                                    ClassId class_id) {
   OCB_RETURN_NOT_OK(RefuseFinished(txn, "CreateObject"));
   OCB_RETURN_NOT_OK(RefuseReadOnly(txn, "CreateObject"));
-  auto facade = FacadeGate(/*force=*/txn == nullptr);
+  std::unique_lock<std::mutex> legacy_hold(legacy_write_mu_, std::defer_lock);
+  if (txn == nullptr) legacy_hold.lock();
   Object obj;
   {
     TimedSharedLock cat(catalog_mu_);
@@ -906,7 +880,7 @@ Result<Oid> Database::CreateObject(TransactionContext* txn,
     txn->undo_log_.push_back(std::move(record));
     txn->undo_logged_.insert(oid);
     // Snapshot readers born before this commit must not see the object.
-    if (mvcc_enabled()) version_store_.PublishCreation(txn->id(), oid);
+    version_store_.PublishCreation(txn->id(), oid);
     // A fresh oid is unknown to every other transaction, so this grant
     // never blocks.
     OCB_RETURN_NOT_OK(
@@ -932,31 +906,25 @@ Status Database::WriteEncoded(Oid oid, const Object& object) {
 Result<Object> Database::GetObject(TransactionContext* txn, Oid oid) {
   OCB_RETURN_NOT_OK(RefuseFinished(txn, "GetObject"));
   if (txn != nullptr && txn->read_only()) {
-    // MVCC path: no lock, no facade latch — resolve against the ReadView
-    // with the read-validate protocol (see SnapshotRead).
-    auto facade = FacadeGate();
+    // MVCC path: no lock — resolve against the ReadView with the
+    // read-validate protocol (see SnapshotRead).
     OCB_ASSIGN_OR_RETURN(Object obj, SnapshotRead(txn, oid));
     NotifyObjectAccess(oid);
     return obj;
   }
-  if (txn != nullptr && txn->cc() != CcAlgorithm::kStrict2PL) {
+  if (txn != nullptr && txn->optimistic()) {
     // SI/OCC: no S locks — own writes, then the algorithm's protocol.
-    auto facade = FacadeGate();
     OCB_ASSIGN_OR_RETURN(Object obj, OptimisticRead(txn, oid));
     NotifyObjectAccess(oid);
     return obj;
   }
   OCB_RETURN_NOT_OK(LockFor(txn, oid, LockMode::kShared));
-  auto facade = FacadeGate();
   OCB_ASSIGN_OR_RETURN(Object obj, ReadDecode(oid));
   NotifyObjectAccess(oid);
   return obj;
 }
 
-Result<Object> Database::PeekObject(Oid oid) {
-  auto facade = FacadeGate();
-  return ReadDecode(oid);
-}
+Result<Object> Database::PeekObject(Oid oid) { return ReadDecode(oid); }
 
 Status Database::SetReference(TransactionContext* txn, Oid from,
                               uint32_t slot, Oid to) {
@@ -965,19 +933,11 @@ Status Database::SetReference(TransactionContext* txn, Oid from,
   OCB_RETURN_NOT_OK(RefuseNonLocking(txn, "SetReference"));
   // The txn path's multi-object atomicity comes from the X locks acquired
   // below. The legacy path (txn == nullptr) has no object locks, so it
-  // holds the facade latch across the whole multi-object operation,
-  // exactly like the seed did (the gate is recursive, so the per-section
-  // gates below nest). The txn path must NOT hold any latch while lock
-  // acquisitions block — it gates each physical section separately.
-  auto legacy_hold = txn == nullptr
-                         ? FacadeGate(/*force=*/true)
-                         : std::unique_lock<std::recursive_mutex>();
+  // holds legacy_write_mu_ across the whole multi-object operation.
+  std::unique_lock<std::mutex> legacy_hold(legacy_write_mu_, std::defer_lock);
+  if (txn == nullptr) legacy_hold.lock();
   OCB_RETURN_NOT_OK(LockFor(txn, from, LockMode::kExclusive));
-  Object source;
-  {
-    auto facade = FacadeGate();
-    OCB_ASSIGN_OR_RETURN(source, ReadDecode(from));
-  }
+  OCB_ASSIGN_OR_RETURN(Object source, ReadDecode(from));
   if (slot >= source.orefs.size()) {
     return Status::InvalidArgument(
         Format("slot %u out of range for class %u", slot, source.class_id));
@@ -993,7 +953,6 @@ Status Database::SetReference(TransactionContext* txn, Oid from,
     OCB_RETURN_NOT_OK(LockFor(txn, to, LockMode::kExclusive));
   }
 
-  auto facade = FacadeGate();
   // Read-and-validate everything *before* the first write, so a vanished
   // target (deleted by a concurrently committed transaction) or a full
   // backref page surfaces while the database is still untouched — no
@@ -1053,21 +1012,18 @@ Result<Object> Database::CrossLink(TransactionContext* txn, Oid from, Oid to,
                                    RefTypeId type, bool reverse) {
   OCB_RETURN_NOT_OK(RefuseFinished(txn, "CrossLink"));
   if (txn != nullptr && txn->read_only()) {
-    auto facade = FacadeGate();
     NotifyLinkCross(from, to, type, reverse);
     OCB_ASSIGN_OR_RETURN(Object obj, SnapshotRead(txn, to));
     NotifyObjectAccess(to);
     return obj;
   }
-  if (txn != nullptr && txn->cc() != CcAlgorithm::kStrict2PL) {
-    auto facade = FacadeGate();
+  if (txn != nullptr && txn->optimistic()) {
     NotifyLinkCross(from, to, type, reverse);
     OCB_ASSIGN_OR_RETURN(Object obj, OptimisticRead(txn, to));
     NotifyObjectAccess(to);
     return obj;
   }
   OCB_RETURN_NOT_OK(LockFor(txn, to, LockMode::kShared));
-  auto facade = FacadeGate();
   NotifyLinkCross(from, to, type, reverse);
   OCB_ASSIGN_OR_RETURN(Object obj, ReadDecode(to));
   NotifyObjectAccess(to);
@@ -1080,13 +1036,12 @@ Status Database::PutObject(TransactionContext* txn, const Object& object) {
   if (object.oid == kInvalidOid) {
     return Status::InvalidArgument("PutObject requires a valid oid");
   }
-  if (txn != nullptr && txn->cc() != CcAlgorithm::kStrict2PL) {
+  if (txn != nullptr && txn->optimistic()) {
     // SI/OCC: buffer the post-image; FinalizeCc locks, validates and
     // applies at commit. A Put to the transaction's own eager creation
     // writes in place — its X lock is already held. A Put to an oid that
     // vanishes before commit surfaces NotFound at finalization.
     if (txn->undo_logged_.count(object.oid) != 0) {
-      auto facade = FacadeGate();
       return WriteEncoded(object.oid, object);
     }
     BufferedWrite write;
@@ -1096,7 +1051,8 @@ Status Database::PutObject(TransactionContext* txn, const Object& object) {
     return Status::OK();
   }
   OCB_RETURN_NOT_OK(LockFor(txn, object.oid, LockMode::kExclusive));
-  auto facade = FacadeGate(/*force=*/txn == nullptr);
+  std::unique_lock<std::mutex> legacy_hold(legacy_write_mu_, std::defer_lock);
+  if (txn == nullptr) legacy_hold.lock();
   if (txn != nullptr && txn->undo_logged_.count(object.oid) == 0) {
     // Pre-image is the *stored* state, not the caller's copy.
     OCB_ASSIGN_OR_RETURN(Object current, ReadDecode(object.oid));
@@ -1109,20 +1065,15 @@ Status Database::DeleteObject(TransactionContext* txn, Oid oid) {
   OCB_RETURN_NOT_OK(RefuseFinished(txn, "DeleteObject"));
   OCB_RETURN_NOT_OK(RefuseReadOnly(txn, "DeleteObject"));
   OCB_RETURN_NOT_OK(RefuseNonLocking(txn, "DeleteObject"));
-  // See SetReference for the legacy-hold vs per-section gate split.
-  auto legacy_hold = txn == nullptr
-                         ? FacadeGate(/*force=*/true)
-                         : std::unique_lock<std::recursive_mutex>();
+  // See SetReference for the legacy hold.
+  std::unique_lock<std::mutex> legacy_hold(legacy_write_mu_, std::defer_lock);
+  if (txn == nullptr) legacy_hold.lock();
   OCB_RETURN_NOT_OK(LockFor(txn, oid, LockMode::kExclusive));
   if (txn != nullptr) {
     // Lock the whole neighborhood up front (the X on `oid` freezes its
     // ORef/BackRef arrays, so the neighbor list cannot change while the
     // remaining locks are collected one by one).
-    Object obj;
-    {
-      auto facade = FacadeGate();
-      OCB_ASSIGN_OR_RETURN(obj, ReadDecode(oid));
-    }
+    OCB_ASSIGN_OR_RETURN(Object obj, ReadDecode(oid));
     std::vector<Oid> neighbors;
     for (Oid target : obj.orefs) {
       if (target != kInvalidOid && target != oid) neighbors.push_back(target);
@@ -1138,7 +1089,6 @@ Status Database::DeleteObject(TransactionContext* txn, Oid oid) {
     }
   }
 
-  auto facade = FacadeGate();
   OCB_ASSIGN_OR_RETURN(Object obj, ReadDecode(oid));
   RecordPreImage(txn, obj);
   // Unlink from targets' backrefs.
@@ -1191,7 +1141,6 @@ Status Database::GetObjectsBatched(TransactionContext* txn,
   accessed.reserve(oids.size());
   if (txn != nullptr && txn->read_only()) {
     // MVCC: resolve each oid through the ReadView — no locks at all.
-    auto facade = FacadeGate();
     for (Oid oid : oids) {
       auto obj = SnapshotRead(txn, oid);
       if (obj.ok()) {
@@ -1201,10 +1150,9 @@ Status Database::GetObjectsBatched(TransactionContext* txn,
         return obj.status();
       }
     }
-  } else if (txn != nullptr && txn->cc() != CcAlgorithm::kStrict2PL) {
+  } else if (txn != nullptr && txn->optimistic()) {
     // SI/OCC: per-oid optimistic reads, no locks. Vanished (or not yet
     // committed) members are skipped like the snapshot path's.
-    auto facade = FacadeGate();
     for (Oid oid : oids) {
       auto obj = OptimisticRead(txn, oid);
       if (obj.ok()) {
@@ -1216,7 +1164,7 @@ Status Database::GetObjectsBatched(TransactionContext* txn,
     }
   } else {
     // 2PL: ONE sorted lock-footprint pass (ascending oids — two GetMany
-    // calls can never deadlock each other), then one gated read pass.
+    // calls can never deadlock each other), then one read pass.
     if (txn != nullptr) {
       std::vector<Oid> footprint(oids.begin(), oids.end());
       std::sort(footprint.begin(), footprint.end());
@@ -1230,7 +1178,6 @@ Status Database::GetObjectsBatched(TransactionContext* txn,
     // overlapped prefetch so the read pass below runs against a warm
     // cache instead of paying the misses serially.
     if (oids.size() > 1) (void)PrefetchObjects(oids);
-    auto facade = FacadeGate();
     for (Oid oid : oids) {
       auto obj = ReadDecode(oid);
       if (obj.ok()) {
@@ -1254,7 +1201,7 @@ Status Database::AcquireWriteFootprint(TransactionContext* txn,
   OCB_RETURN_NOT_OK(RefuseFinished(txn, "ApplyWriteBatch"));
   OCB_RETURN_NOT_OK(RefuseReadOnly(txn, "ApplyWriteBatch"));
   if (txn == nullptr) return Status::OK();
-  if (txn->cc() != CcAlgorithm::kStrict2PL) {
+  if (txn->optimistic()) {
     // Optimistic transactions take no locks before commit; the batch's
     // writes will be buffered. Keep the prefetch — the reads that feed
     // the batch still profit from a warm cache.
@@ -1399,8 +1346,7 @@ uint64_t Database::ExtentVersion(ClassId class_id) {
 
 std::vector<Oid> Database::ExtentSnapshot(ClassId class_id,
                                           TransactionContext* txn) {
-  if (txn != nullptr && !txn->read_only() &&
-      txn->cc() == CcAlgorithm::kSiloOCC) {
+  if (txn != nullptr && txn->mode() == TxnMode::kOCC) {
     // OCC scans current membership but records the extent version under
     // the SAME catalog-latch hold as the copy, so the recorded counter
     // provably describes the copied membership. Commit revalidates it

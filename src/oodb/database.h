@@ -17,7 +17,7 @@
 ///     (release) or AbortTxn (rollback + release). Conflicting CLIENTN
 ///     clients therefore interleave with real isolation; deadlocks abort
 ///     exactly one victim (Status::Aborted).
-///   * *MVCC snapshot readers* — BeginTxn(read_only=true) additionally
+///   * *MVCC snapshot readers* — BeginTxn(TxnMode::kSnapshotRead) instead
 ///     pins a ReadView at the current commit timestamp. Reads of such a
 ///     transaction bypass the lock manager entirely and resolve through
 ///     the VersionStore — no lock waits, no deadlock aborts, repeatable
@@ -27,7 +27,9 @@
 ///     locks, no undo logging. Generators, reorganizers and the
 ///     single-client benches use this path single-threaded. Legacy writes
 ///     bypass the version store, so snapshot readers must not run
-///     concurrently with them — the benches never mix the two.
+///     concurrently with them — the benches never mix the two. Legacy
+///     multi-object writes serialize on one mutex, since they have no
+///     object locks to make them atomic.
 ///
 /// Lock/latch ordering: locks before latches, catalog latch before page
 /// latches, strictly top-down — the complete hierarchy (including the
@@ -35,18 +37,10 @@
 /// in ARCHITECTURE.md §"Ordering rules"; this header intentionally no
 /// longer duplicates it.
 ///
-/// The pre-refactor facade big-latch survives in two places only:
-///
-///   * QuiesceGuard — reorganizers and snapshot save/load need the whole
-///     store still at once; the guard serializes them against each other
-///     and drains every in-flight page pin (BufferPool::BeginQuiesce)
-///     before handing the owner exclusive physical access.
-///   * SetSerializedPhysical(true) — an opt-in compatibility mode in which
-///     every object operation re-acquires one recursive facade latch for
-///     its whole duration, reproducing the old serialized substrate.
-///     bench_multiclient runs each CLIENTN point in both modes to report
-///     the facade-latch vs page-latch win (wait times come from the
-///     thread-local accounting in storage/latch.h).
+/// Reorganizers and snapshot save/load take QuiesceGuard: it serializes
+/// them against each other and drains every in-flight page pin
+/// (BufferPool::BeginQuiesce) before handing the owner exclusive physical
+/// access.
 ///
 /// A Database is also the unit of *sharding*: ShardedDatabase
 /// (src/sharding/) composes N of them, each a complete store with its own
@@ -186,37 +180,30 @@ class Database {
   /// Starts a transaction: allocates a TransactionContext and fires
   /// OnTransactionBegin. Pass the context to the txn overloads below;
   /// finish with CommitTxn or AbortTxn (mandatory — locks are held until
-  /// then).
+  /// then). \p mode picks how it runs (see TxnMode):
   ///
-  /// With \p read_only set, the transaction is an MVCC snapshot reader: a
-  /// ReadView is pinned at the current commit timestamp, reads bypass the
-  /// lock manager (never blocking, never deadlocking) and resolve through
-  /// the version store, and every write operation is refused with
-  /// InvalidArgument. Finish with CommitTxn/AbortTxn as usual (either
-  /// closes the ReadView).
-  ///
-  /// \p cc selects the writer concurrency-control algorithm (ignored for
-  /// read-only transactions; the session layer validates the option
-  /// matrix — see ValidateTxnOptions):
-  ///
-  ///   * kStrict2PL (default) — the unchanged locking path.
-  ///   * kSnapshotIsolation — a ReadView is pinned at begin exactly like
-  ///     a reader's; reads resolve against it (plus the transaction's own
-  ///     writes), Put is buffered, and commit validates first-committer-
-  ///     wins: any object in the write set committed by someone else
-  ///     since the snapshot aborts this transaction with WriteConflict.
-  ///   * kSiloOCC — no S locks and no pinned view: reads record the
-  ///     object's last committed-write timestamp, commit X-locks the
-  ///     write set in ascending oid order, revalidates every read stamp
-  ///     (plus extent versions for scans), then commits as an ordinary
-  ///     writer. Read-set or phantom invalidation is WriteConflict.
+  ///   * kSnapshotRead — a ReadView is pinned at the current commit
+  ///     timestamp, reads bypass the lock manager (never blocking, never
+  ///     deadlocking) and resolve through the version store, and every
+  ///     write operation is refused with InvalidArgument. CommitTxn and
+  ///     AbortTxn both close the ReadView.
+  ///   * k2PL (default) — the locking path.
+  ///   * kSI — a ReadView is pinned at begin exactly like a reader's;
+  ///     reads resolve against it (plus the transaction's own writes),
+  ///     Put is buffered, and commit validates first-committer-wins: any
+  ///     object in the write set committed by someone else since the
+  ///     snapshot aborts this transaction with WriteConflict.
+  ///   * kOCC — no S locks and no pinned view: reads record the object's
+  ///     last committed-write timestamp, commit X-locks the write set in
+  ///     ascending oid order, revalidates every read stamp (plus extent
+  ///     versions for scans), then commits as an ordinary writer.
+  ///     Read-set or phantom invalidation is WriteConflict.
   ///
   /// Under SI/OCC, SetReference and DeleteObject are refused with
   /// NotSupported (their multi-object choreography needs 2PL's eager
   /// footprint); CreateObject stays eager under a never-blocking X lock
   /// on the fresh oid.
-  std::unique_ptr<TransactionContext> BeginTxn(
-      bool read_only = false, CcAlgorithm cc = CcAlgorithm::kStrict2PL);
+  std::unique_ptr<TransactionContext> BeginTxn(TxnMode mode = TxnMode::k2PL);
 
   /// BeginTxn with a *caller-issued* transaction id. The sharding facade
   /// creates every participant context of one sharded transaction with
@@ -225,8 +212,7 @@ class Database {
   /// (see wait_graph.h) — and is also why the ids must come from one
   /// deployment-wide counter, never this store's own.
   std::unique_ptr<TransactionContext> BeginTxnWithId(
-      TxnId id, bool read_only = false,
-      CcAlgorithm cc = CcAlgorithm::kStrict2PL);
+      TxnId id, TxnMode mode = TxnMode::k2PL);
 
   /// Commits: stamps the transaction's published versions with a fresh
   /// commit timestamp (making them visible history for snapshot readers),
@@ -252,9 +238,8 @@ class Database {
   Status CommitTxnGrouped(TransactionContext* txn);
 
   /// Group-commit batch-size cap (1 = per-transaction commits through
-  /// the same path) and pipeline counters. The cap is applied per run,
-  /// like SetMvccEnabled (ProtocolRunner forwards
-  /// WorkloadParameters::group_commit_max_batch).
+  /// the same path) and pipeline counters. The cap is applied per run
+  /// (ProtocolRunner forwards WorkloadParameters::group_commit_max_batch).
   void SetGroupCommitMaxBatch(uint32_t n) {
     commit_pipeline_.set_max_batch(n);
   }
@@ -268,13 +253,10 @@ class Database {
   }
 
   /// Deadlock victim policy of the lock manager (see DeadlockPolicy).
-  /// Engine-wide; Session::Begin forwards TxnOptions::deadlock_policy
-  /// here, all sessions of one run agreeing on the value.
+  /// Engine-wide; ProtocolRunner applies WorkloadParameters::
+  /// deadlock_policy here once per run.
   void SetDeadlockPolicy(DeadlockPolicy policy) {
     lock_manager_.SetVictimPolicy(policy);
-  }
-  DeadlockPolicy deadlock_policy() const {
-    return lock_manager_.victim_policy();
   }
 
   /// Opens a Session on this engine — the entry point of the public
@@ -347,18 +329,18 @@ class Database {
   /// transactions.
   Status AbortTxnAt(TransactionContext* txn, CommitTs ts);
 
-  /// BeginTxn(read_only=true) pinned at a *caller-chosen* snapshot
+  /// BeginTxn(kSnapshotRead) pinned at a *caller-chosen* snapshot
   /// timestamp instead of this store's own latest commit: the
   /// ShardedDatabase opens one global snapshot point S and registers a
   /// view at S on every shard so a sharded reader resolves all its reads
   /// against one cross-shard instant. \p id follows the BeginTxnWithId
-  /// contract. Callers must ensure MVCC is enabled.
+  /// contract.
   std::unique_ptr<TransactionContext> BeginSnapshotTxnAt(CommitTs ts,
                                                          TxnId id);
 
   /// A snapshot-isolation *writer* participant pinned at a caller-chosen
-  /// snapshot: like BeginSnapshotTxnAt, but read-write with
-  /// cc = kSnapshotIsolation. The ShardedDatabase opens every shard's
+  /// snapshot: like BeginSnapshotTxnAt, but read-write in
+  /// TxnMode::kSI. The ShardedDatabase opens every shard's
   /// view of one SI transaction at the same global snapshot point under
   /// the coordinator's commit mutex (lazily opening them at first touch
   /// would race each shard's GC: a view registered late at an old
@@ -455,6 +437,19 @@ class Database {
   /// failed to open return this error instead of acknowledging).
   Status wal_open_status() const { return wal_open_status_; }
 
+  /// True when the WAL held commits of an earlier run at open and
+  /// wal::RecoverDatabase has not replayed them yet. Writer commits are
+  /// refused (InvalidArgument) meanwhile: appending behind unreplayed
+  /// records would mix two runs' timestamp axes in one log.
+  bool wal_recovery_pending() const {
+    return wal_recovery_pending_.load(std::memory_order_acquire);
+  }
+
+  /// Lifts the refusal above; called by recovery once replay finished.
+  void MarkWalRecovered() {
+    wal_recovery_pending_.store(false, std::memory_order_release);
+  }
+
   /// Appends (without forcing) the redo record of \p txn's writes at
   /// commit timestamp \p ts. The transaction must still hold its locks
   /// and its undo log must be intact (call before CommitTxnAt, which
@@ -534,10 +529,8 @@ class Database {
   /// ONE overlapped batch (ObjectStore::Prefetch → BufferPool::FetchMany)
   /// instead of paying the misses one device latency at a time. Purely a
   /// hint — unknown oids are skipped and errors resurface on the real
-  /// read. No-op in serialize-physical mode: the compatibility baseline
-  /// must keep its strictly serial I/O.
+  /// read.
   Status PrefetchObjects(std::span<const Oid> oids) {
-    if (serialized_physical()) return Status::OK();
     return store_->Prefetch(oids);
   }
 
@@ -556,31 +549,6 @@ class Database {
   /// Returns the number of versions reclaimed.
   uint64_t CollectVersionGarbage() {
     return version_store_.GarbageCollect(read_views_);
-  }
-
-  /// Globally enables/disables MVCC (default on). When disabled, writers
-  /// stop publishing versions (no version-store copies, stamps, or GC
-  /// work) and BeginTxn(read_only=true) silently falls back to a plain
-  /// locking transaction — the pure-2PL baseline bench_multiclient
-  /// measures. Flip only while no transaction is in flight: versions
-  /// published before the flip would never be stamped after it.
-  void SetMvccEnabled(bool on) {
-    mvcc_enabled_.store(on, std::memory_order_relaxed);
-  }
-  bool mvcc_enabled() const {
-    return mvcc_enabled_.load(std::memory_order_relaxed);
-  }
-
-  /// Opt-in compatibility mode: every object operation serializes on one
-  /// recursive facade latch for its whole duration, physical I/O included
-  /// — the pre-refactor big-latch substrate. bench_multiclient uses it as
-  /// the baseline of the facade-latch vs page-latch comparison. Flip only
-  /// while no operation is in flight.
-  void SetSerializedPhysical(bool on) {
-    serialize_physical_.store(on, std::memory_order_relaxed);
-  }
-  bool serialized_physical() const {
-    return serialize_physical_.load(std::memory_order_relaxed);
   }
 
   /// Number of live objects.
@@ -665,7 +633,7 @@ class Database {
 
   /// Batched read (Transaction::GetMany): ONE sorted lock-footprint pass
   /// (S locks in ascending oid order — no two GetMany calls can deadlock
-  /// each other), one facade-gate section, one observer pass. Objects
+  /// each other), one read pass, one observer pass. Objects
   /// append to \p out in input order; vanished oids are skipped
   /// (NotFound is not an error, matching the single-get tolerance of
   /// concurrent deletes). MVCC readers resolve each oid through their
@@ -722,14 +690,11 @@ class Database {
   Result<Object> SnapshotReadAt(TransactionContext* txn, Oid oid,
                                 CommitTs read_ts);
 
-  /// Returns a held lock on the serialize-physical facade latch when the
-  /// compatibility mode is on — or when \p force is set, which the legacy
-  /// (txn == nullptr) *write* paths use: they have no object locks, so
-  /// their multi-object read-modify-write sequences keep the seed's
-  /// facade-serialized semantics in every mode. An empty (unheld) lock
-  /// otherwise. Blocked time is charged to the thread's facade-wait
-  /// counter.
-  std::unique_lock<std::recursive_mutex> FacadeGate(bool force = false);
+  /// Refuses a writer commit while the WAL still holds an earlier run's
+  /// unreplayed commits: the new records, whose timestamps restart at 1,
+  /// would replay interleaved with the old ones. Aborts \p txn and
+  /// returns InvalidArgument; OK for readers and once recovered.
+  Status RefuseUnrecoveredWal(TransactionContext* txn);
 
   /// Observer notification helpers (serialize on observer_mu_).
   void NotifyObjectAccess(Oid oid);
@@ -748,7 +713,7 @@ class Database {
   /// blocks).
   Status LockFor(TransactionContext* txn, Oid oid, LockMode mode);
 
-  /// Snapshot read for a read-only txn, without any facade latch:
+  /// Snapshot read for a read-only txn, without any lock:
   ///
   ///   1. Resolve through the version store; a version newer than the
   ///      ReadView (pending ones count as +infinity) carries the state at
@@ -810,8 +775,9 @@ class Database {
   /// when opening failed (see wal_open_status_).
   std::unique_ptr<wal::WalWriter> wal_;
   Status wal_open_status_;
-  std::atomic<bool> mvcc_enabled_{true};
-  std::atomic<bool> serialize_physical_{false};
+  /// Set when the WAL open found commits of an earlier run; cleared by
+  /// MarkWalRecovered (see RefuseUnrecoveredWal).
+  std::atomic<bool> wal_recovery_pending_{false};
   std::atomic<TxnId> next_txn_id_{1};
   std::atomic<uint64_t> si_conflicts_{0};   ///< See si_conflicts().
   std::atomic<uint64_t> occ_conflicts_{0};  ///< See occ_conflicts().
@@ -835,8 +801,10 @@ class Database {
   /// Serializes QuiesceGuard owners (reorganizers, snapshot save/load).
   std::recursive_mutex reorg_mu_;
 
-  /// The opt-in serialize-physical big-latch (compatibility mode only).
-  std::recursive_mutex serial_mu_;
+  /// Serializes legacy (txn == nullptr) writes: without object locks,
+  /// their multi-object read-modify-write sequences need it to stay
+  /// atomic against each other.
+  std::mutex legacy_write_mu_;
 
   // Background version GC. Started lazily by the first BeginTxn (legacy
   // single-client users never pay for the thread), joined in the

@@ -58,6 +58,8 @@ ShardedDatabase::ShardedDatabase(const StorageOptions& base,
                                           base.wal_segment_bytes);
     if (coord_wal.ok()) {
       coord_wal_ = std::move(coord_wal).value();
+      coord_recovery_pending_.store(coord_wal_->found_commits(),
+                                    std::memory_order_release);
       coordinator_->AttachWal(coord_wal_.get());
     } else {
       coord_wal_status_ = coord_wal.status();
@@ -102,6 +104,19 @@ Status ShardedDatabase::wal_open_status() const {
   return Status::OK();
 }
 
+bool ShardedDatabase::wal_recovery_pending() const {
+  if (coord_recovery_pending_.load(std::memory_order_acquire)) return true;
+  for (const auto& shard : shards_) {
+    if (shard->wal_recovery_pending()) return true;
+  }
+  return false;
+}
+
+void ShardedDatabase::MarkWalRecovered() {
+  for (auto& shard : shards_) shard->MarkWalRecovered();
+  coord_recovery_pending_.store(false, std::memory_order_release);
+}
+
 void ShardedDatabase::SetSchema(Schema schema) {
   for (auto& shard : shards_) {
     Schema copy = schema;
@@ -110,22 +125,13 @@ void ShardedDatabase::SetSchema(Schema schema) {
   schema_ = std::move(schema);
 }
 
-std::unique_ptr<ShardedTransaction> ShardedDatabase::BeginTxn(
-    bool read_only, CcAlgorithm cc) {
-  // Both MVCC readers and the optimistic algorithms are built on the
-  // version store; with MVCC off everything degrades to locking.
-  if (!mvcc_enabled()) {
-    read_only = false;
-    cc = CcAlgorithm::kStrict2PL;
-  }
-  if (read_only) cc = CcAlgorithm::kStrict2PL;
+std::unique_ptr<ShardedTransaction> ShardedDatabase::BeginTxn(TxnMode mode) {
   auto txn = std::make_unique<ShardedTransaction>(
       next_txn_id_.fetch_add(1, std::memory_order_relaxed),
-      router_.shard_count(), read_only);
-  txn->cc_ = cc;
-  if (read_only) {
+      router_.shard_count(), mode);
+  if (mode == TxnMode::kSnapshotRead) {
     coordinator_->OpenGlobalSnapshot(txn.get());
-  } else if (cc == CcAlgorithm::kSnapshotIsolation) {
+  } else if (mode == TxnMode::kSI) {
     // Eager contexts, all views pinned at one global snapshot point (see
     // BeginTxn's doc comment: lazy opening would race per-shard GC).
     coordinator_->OpenGlobalSiContexts(txn.get());
@@ -133,7 +139,25 @@ std::unique_ptr<ShardedTransaction> ShardedDatabase::BeginTxn(
   return txn;
 }
 
+Status ShardedDatabase::RefuseUnrecoveredWal(ShardedTransaction* txn) {
+  if (txn == nullptr || txn->read_only() || !wal_recovery_pending()) {
+    return Status::OK();
+  }
+  bool writer = false;
+  for (uint32_t k = 0; k < shard_count(); ++k) {
+    const TransactionContext* ctx = txn->context(k);
+    if (ctx != nullptr && ctx->has_writes()) writer = true;
+  }
+  if (!writer) return Status::OK();
+  (void)coordinator_->Abort(txn);
+  return Status::InvalidArgument(
+      Format("commit refused: WAL '%s' holds commits of an earlier run; "
+             "replay it with wal::RecoverShardedDatabase first",
+             base_options_.wal_path.c_str()));
+}
+
 Status ShardedDatabase::CommitTxn(ShardedTransaction* txn) {
+  OCB_RETURN_NOT_OK(RefuseUnrecoveredWal(txn));
   return coordinator_->Commit(txn);
 }
 
@@ -142,6 +166,7 @@ Status ShardedDatabase::AbortTxn(ShardedTransaction* txn) {
 }
 
 Status ShardedDatabase::CommitTxnGrouped(ShardedTransaction* txn) {
+  OCB_RETURN_NOT_OK(RefuseUnrecoveredWal(txn));
   return coordinator_->CommitGrouped(txn);
 }
 
@@ -161,21 +186,15 @@ void ShardedDatabase::SetDeadlockPolicy(DeadlockPolicy policy) {
   for (auto& shard : shards_) shard->SetDeadlockPolicy(policy);
 }
 
-DeadlockPolicy ShardedDatabase::deadlock_policy() const {
-  return shards_[0]->deadlock_policy();
-}
-
 TransactionContext* ShardedDatabase::ContextFor(ShardedTransaction* txn,
                                                 uint32_t k) {
   if (txn == nullptr) return nullptr;
   if (txn->contexts_[k] == nullptr) {
     // Same id on every shard: the GlobalWaitGraph needs one identity per
-    // sharded transaction to see cycles that cross shards. The cc
-    // algorithm rides along (SI contexts are never created here — they
+    // sharded transaction to see cycles that cross shards. The mode
+    // rides along (reader and SI contexts are never created here — they
     // were opened eagerly at begin).
-    txn->contexts_[k] =
-        shards_[k]->BeginTxnWithId(txn->id(), /*read_only=*/false,
-                                   txn->cc());
+    txn->contexts_[k] = shards_[k]->BeginTxnWithId(txn->id(), txn->mode());
   }
   return txn->contexts_[k].get();
 }
@@ -192,13 +211,12 @@ Status ShardedDatabase::RefuseReadOnly(const ShardedTransaction* txn,
 
 Status ShardedDatabase::RefuseNonLocking(const ShardedTransaction* txn,
                                          const char* op) {
-  if (txn != nullptr && !txn->read_only() &&
-      txn->cc() != CcAlgorithm::kStrict2PL) {
+  if (txn != nullptr && txn->optimistic()) {
     return Status::NotSupported(
         Format("%s refused under %s: multi-object choreography (symmetric "
                "backref maintenance) needs 2PL's eager write footprint; "
-               "use a kStrict2PL transaction",
-               op, CcAlgorithmToString(txn->cc())));
+               "use a k2PL transaction",
+               op, TxnModeToString(txn->mode())));
   }
   return Status::OK();
 }
@@ -418,8 +436,7 @@ Status ShardedDatabase::GetObjectsBatched(ShardedTransaction* txn,
                                           std::vector<Object>* out) {
   OCB_RETURN_NOT_OK(RefuseFinished(txn, "GetMany"));
   out->reserve(out->size() + oids.size());
-  if (txn != nullptr && !txn->read_only() &&
-      txn->cc() == CcAlgorithm::kStrict2PL) {
+  if (txn != nullptr && txn->mode() == TxnMode::k2PL) {
     // One ascending-oid S-lock pass across the owning shards; the
     // per-oid reads below then re-acquire idempotently (no blocking, no
     // deadlock — all GetMany footprints ascend the same global order).
@@ -450,7 +467,7 @@ Status ShardedDatabase::AcquireWriteFootprint(ShardedTransaction* txn,
   OCB_RETURN_NOT_OK(RefuseFinished(txn, "ApplyWriteBatch"));
   OCB_RETURN_NOT_OK(RefuseReadOnly(txn, "ApplyWriteBatch"));
   if (txn == nullptr) return Status::OK();
-  if (txn->cc() != CcAlgorithm::kStrict2PL) {
+  if (txn->optimistic()) {
     // SI/OCC defer their write footprint to commit-time finalization;
     // the batch declaration is still a cache-warm hint.
     if (oids.size() > 1) (void)PrefetchObjects(oids);
@@ -503,15 +520,6 @@ Status ShardedDatabase::ColdRestart() {
   return Status::OK();
 }
 
-void ShardedDatabase::SetMvccEnabled(bool on) {
-  mvcc_enabled_.store(on, std::memory_order_relaxed);
-  for (auto& shard : shards_) shard->SetMvccEnabled(on);
-}
-
-void ShardedDatabase::SetSerializedPhysical(bool on) {
-  for (auto& shard : shards_) shard->SetSerializedPhysical(on);
-}
-
 uint64_t ShardedDatabase::object_count() const {
   uint64_t total = 0;
   for (const auto& shard : shards_) total += shard->object_count();
@@ -532,8 +540,7 @@ std::vector<Oid> ShardedDatabase::ExtentSnapshot(ClassId class_id) {
 
 std::vector<Oid> ShardedDatabase::ExtentSnapshot(ClassId class_id,
                                                  ShardedTransaction* txn) {
-  if (txn == nullptr ||
-      (!txn->read_only() && txn->cc() == CcAlgorithm::kStrict2PL)) {
+  if (txn == nullptr || txn->mode() == TxnMode::k2PL) {
     return ExtentSnapshot(class_id);
   }
   std::vector<Oid> out;

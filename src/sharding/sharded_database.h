@@ -96,27 +96,23 @@ class ShardedDatabase {
 
   // --- Transaction lifecycle ---
 
-  /// Starts a sharded transaction. Writers acquire per-shard contexts
-  /// lazily on first touch; with \p read_only (and MVCC enabled) one
-  /// global snapshot point is pinned and a ReadView opened on every
-  /// shard, so all reads resolve against one cross-shard instant.
-  ///
-  /// \p cc selects the concurrency-control algorithm for writers (see
-  /// CcAlgorithm; ignored for readers). Snapshot-isolation writers get
-  /// *eager* contexts — one per shard, every view pinned at one global
-  /// snapshot point under the coordinator's commit mutex, exactly like a
-  /// reader (lazy opening would race per-shard version GC). Silo-OCC
-  /// writers keep lazy contexts: their reads resolve committed-latest,
-  /// pinning nothing. 2PC prepare validates SI/OCC participants
+  /// Starts a sharded transaction in \p mode (see TxnMode). 2PL and OCC
+  /// writers acquire per-shard contexts lazily on first touch (OCC reads
+  /// resolve committed-latest, pinning nothing). kSnapshotRead pins one
+  /// global snapshot point and opens a ReadView on every shard, so all
+  /// reads resolve against one cross-shard instant. kSI writers get the
+  /// same *eager* contexts — every view pinned at one global snapshot
+  /// point under the coordinator's commit mutex (lazy opening would race
+  /// per-shard version GC). 2PC prepare validates SI/OCC participants
   /// (Database::PrepareTxn → FinalizeCc) so a validation loss aborts the
   /// whole sharded transaction with Status::WriteConflict.
-  std::unique_ptr<ShardedTransaction> BeginTxn(
-      bool read_only = false,
-      CcAlgorithm cc = CcAlgorithm::kStrict2PL);
+  std::unique_ptr<ShardedTransaction> BeginTxn(TxnMode mode = TxnMode::k2PL);
 
   /// Commits via the coordinator: fast path for a single writer shard,
   /// two-phase commit for several. Status::Aborted means the commit
-  /// itself was aborted (2PC failpoint) and everything rolled back.
+  /// itself was aborted (2PC failpoint) and everything rolled back. A
+  /// writer is aborted and refused (InvalidArgument) while
+  /// wal_recovery_pending().
   Status CommitTxn(ShardedTransaction* txn);
 
   /// Aborts every participant shard (per-shard undo-log rollback).
@@ -137,7 +133,6 @@ class ShardedDatabase {
 
   /// Deadlock victim policy, applied to every shard's lock manager.
   void SetDeadlockPolicy(DeadlockPolicy policy);
-  DeadlockPolicy deadlock_policy() const;
 
   /// Opens a Session on this engine (see engine/session.h).
   SessionT<ShardedDatabase> OpenSession();
@@ -191,14 +186,6 @@ class ShardedDatabase {
   /// Cold cache on every shard.
   Status ColdRestart();
 
-  void SetMvccEnabled(bool on);
-  bool mvcc_enabled() const {
-    return mvcc_enabled_.load(std::memory_order_relaxed);
-  }
-
-  /// Forwards the serialize-physical compatibility mode to every shard.
-  void SetSerializedPhysical(bool on);
-
   uint64_t object_count() const;
 
   /// Class extent across all shards (ascending oid order, so root pools
@@ -225,6 +212,14 @@ class ShardedDatabase {
   /// shards). Writer commits fail with this status instead of
   /// acknowledging without durability.
   Status wal_open_status() const;
+
+  /// True while any shard log or the coordinator log holds commits of an
+  /// earlier run that wal::RecoverShardedDatabase has not replayed yet
+  /// (see Database::wal_recovery_pending).
+  bool wal_recovery_pending() const;
+
+  /// Lifts the refusal on every shard; called by recovery after replay.
+  void MarkWalRecovered();
 
   /// All live oids across all shards, ascending.
   std::vector<Oid> LiveOidsSnapshot();
@@ -308,6 +303,10 @@ class ShardedDatabase {
   /// Rejects object operations through a finished sharded transaction.
   Status RefuseFinished(const ShardedTransaction* txn, const char* op);
 
+  /// Database::RefuseUnrecoveredWal for a sharded writer: aborts every
+  /// participant and returns InvalidArgument while wal_recovery_pending().
+  Status RefuseUnrecoveredWal(ShardedTransaction* txn);
+
   StorageOptions base_options_;
   ShardRouter router_;
   std::vector<std::unique_ptr<Database>> shards_;
@@ -316,6 +315,9 @@ class ShardedDatabase {
   /// is destroyed first.
   std::unique_ptr<wal::WalWriter> coord_wal_;
   Status coord_wal_status_;
+  /// The coordinator log's share of wal_recovery_pending() (the shards
+  /// track their own logs).
+  std::atomic<bool> coord_recovery_pending_{false};
   std::unique_ptr<CrossShardCoordinator> coordinator_;
   /// Coordinator gauge-callback registrations (db.coord.*). Declared
   /// after coordinator_ so it is destroyed (unregistered) first; the
@@ -325,7 +327,6 @@ class ShardedDatabase {
   SimClock think_clock_;
   std::atomic<uint64_t> create_cursor_{0};  ///< Round-robin creation.
   std::atomic<TxnId> next_txn_id_{1};       ///< Deployment-wide txn ids.
-  std::atomic<bool> mvcc_enabled_{true};
 };
 
 /// \brief Saves every shard to "<path>.shard<k>" (generate-once campaign

@@ -33,8 +33,8 @@ class CrossShardCoordinator;
 /// \brief State of one in-flight sharded transaction.
 class ShardedTransaction {
  public:
-  ShardedTransaction(TxnId id, uint32_t shard_count, bool read_only)
-      : id_(id), contexts_(shard_count), read_only_(read_only) {}
+  ShardedTransaction(TxnId id, uint32_t shard_count, TxnMode mode)
+      : id_(id), contexts_(shard_count), mode_(mode) {}
 
   ShardedTransaction(const ShardedTransaction&) = delete;
   ShardedTransaction& operator=(const ShardedTransaction&) = delete;
@@ -43,11 +43,15 @@ class ShardedTransaction {
   /// the same one (the GlobalWaitGraph's identity — see wait_graph.h).
   TxnId id() const { return id_; }
 
-  bool read_only() const { return read_only_; }
+  bool read_only() const { return mode_ == TxnMode::kSnapshotRead; }
 
-  /// Concurrency-control algorithm every participant context runs under
-  /// (one algorithm per transaction; see CcAlgorithm).
-  CcAlgorithm cc() const { return cc_; }
+  /// The mode every participant context runs under (see TxnMode).
+  TxnMode mode() const { return mode_; }
+
+  /// True for SI and OCC (see TransactionContext::optimistic).
+  bool optimistic() const {
+    return mode_ == TxnMode::kSI || mode_ == TxnMode::kOCC;
+  }
 
   TxnState state() const { return state_; }
   bool active() const { return state_ == TxnState::kActive; }
@@ -126,8 +130,7 @@ class ShardedTransaction {
 
   TxnId id_ = kInvalidTxnId;
   std::vector<std::unique_ptr<TransactionContext>> contexts_;
-  bool read_only_ = false;
-  CcAlgorithm cc_ = CcAlgorithm::kStrict2PL;
+  TxnMode mode_;
   TxnState state_ = TxnState::kActive;
   CommitTs snapshot_ts_ = 0;
   uint64_t twopc_nanos_ = 0;

@@ -165,11 +165,17 @@ void BufferPool::BeginQuiesce() OCB_NO_THREAD_SAFETY_ANALYSIS {
   quiesce_cv_.wait(lock, [&] { return quiesce_depth_ == 0; });
   quiesce_owner_ = me;
   quiesce_depth_ = 1;
-  quiescing_.store(true, std::memory_order_release);
+  // Sequentially consistent with Unpin's decrement-then-check: this side
+  // stores quiescing_ then reads total_pins_, Unpin decrements
+  // total_pins_ then reads quiescing_. With weaker orders both sides may
+  // read the old value (store-buffer reordering on a multi-core host), the
+  // last unpinner skips the notify, and this wait sleeps forever with the
+  // gate closed.
+  quiescing_.store(true, std::memory_order_seq_cst);
   // Drain: in-flight operations keep their gate exemption via tls_pin_depth
   // and finish; nobody else can start pinning.
   quiesce_cv_.wait(lock, [&] {
-    return total_pins_.load(std::memory_order_acquire) == 0;
+    return total_pins_.load(std::memory_order_seq_cst) == 0;
   });
   // With every pin drained and the gate closed, settle the background
   // write-back queue too: the quiesce owner (snapshot save/load, cold
@@ -688,8 +694,10 @@ void BufferPool::Unpin(size_t frame_index, LatchMode mode,
   assert(frame.pin_count.load(std::memory_order_relaxed) > 0);
   frame.pin_count.fetch_sub(1, std::memory_order_relaxed);
   --tls_pin_depth;
-  if (total_pins_.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-      quiescing_.load(std::memory_order_acquire)) {
+  // seq_cst pairs with BeginQuiesce (see there): the last unpinner must
+  // either see quiescing_ and notify, or the quiescer must see zero pins.
+  if (total_pins_.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
+      quiescing_.load(std::memory_order_seq_cst)) {
     MutexLock lock(quiesce_mu_);
     quiesce_cv_.notify_all();
   }

@@ -138,9 +138,9 @@ inline void AcquireTimed(uint64_t* counter, obs::LatencyHistogram* histo,
 // are exempt because the acquisition happens inside AcquireTimed's
 // lambdas, a hop the intraprocedural analysis cannot follow (lockdep
 // still sees it, via the wrappers' lock paths). The generic template
-// stays unannotated: it also serves std types (the serialize-physical
-// std::recursive_mutex), and a capability attribute on a non-capability
-// type is itself a -Wthread-safety-attributes error.
+// stays unannotated: it may also serve std mutex types, and a capability
+// attribute on a non-capability type is itself a
+// -Wthread-safety-attributes error.
 
 /// Locks \p mu exclusively, charging blocked time to the thread's
 /// page-latch counter (generic, unannotated — see above).

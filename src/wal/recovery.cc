@@ -97,6 +97,7 @@ Status RecoverDatabase(Database* db) {
   CommitTs max_seen = 0;
   OCB_RETURN_NOT_OK(ReplayDatabaseWal(db, path, nullptr, &max_seen));
   db->version_store()->AdvanceLatest(max_seen);
+  db->MarkWalRecovered();
   return Status::OK();
 }
 
@@ -130,6 +131,7 @@ Status RecoverShardedDatabase(ShardedDatabase* db) {
   // the shards; re-adopt shard 0's copy as the master.
   db->SetMasterSchemaFromShards();
   db->coordinator()->AdvanceTimestampTo(max_seen);
+  db->MarkWalRecovered();
   return Status::OK();
 }
 

@@ -25,7 +25,8 @@
 /// (including wal_path), install the schema, then Recover*. The schema
 /// must be installed first so replayed creates land in their class
 /// extents; a checkpoint snapshot, when one loads, re-installs the
-/// persisted schema on top.
+/// persisted schema on top. Until Recover* has run, an engine whose log
+/// holds earlier commits refuses writer commits (wal_recovery_pending).
 
 #ifndef OCB_WAL_RECOVERY_H_
 #define OCB_WAL_RECOVERY_H_

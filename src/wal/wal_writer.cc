@@ -1,5 +1,6 @@
 #include "wal/wal_writer.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <vector>
@@ -102,18 +103,25 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& path,
       return Status::IOError(
           Format("WAL magic write failed for '%s'", seg_path.c_str()));
     }
-    return std::unique_ptr<WalWriter>(new WalWriter(
-        path, file, segment_bytes, segment_index, kWalMagicSize));
+    return std::unique_ptr<WalWriter>(
+        new WalWriter(path, file, segment_bytes, segment_index,
+                      kWalMagicSize, /*found_commits=*/false));
   }
 
   // Existing log: find the end of the valid prefix and drop the torn tail
   // before appending. ScanWalFile also rejects bad magic as Corruption.
   uint64_t valid_end = 0;
-  Status st = ScanWalFile(file, /*records=*/nullptr, &valid_end);
+  std::vector<WalRecord> records;
+  Status st = ScanWalFile(file, &records, &valid_end);
   if (!st.ok()) {
     std::fclose(file);
     return st;
   }
+  // Closed segments below the append target were filled by earlier runs.
+  const bool found_commits =
+      segment_index > 0 ||
+      std::any_of(records.begin(), records.end(),
+                  [](const WalRecord& rec) { return rec.commit_ts != 0; });
   if (std::fseek(file, 0, SEEK_END) != 0) {
     std::fclose(file);
     return Status::IOError(
@@ -151,8 +159,8 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& path,
     }
     valid_end = kWalMagicSize;
   }
-  return std::unique_ptr<WalWriter>(
-      new WalWriter(path, file, segment_bytes, segment_index, valid_end));
+  return std::unique_ptr<WalWriter>(new WalWriter(
+      path, file, segment_bytes, segment_index, valid_end, found_commits));
 }
 
 WalWriter::~WalWriter() {

@@ -76,6 +76,12 @@ class WalWriter {
 
   const std::string& path() const { return path_; }
 
+  /// True when Open found an earlier run's commits in the log: a record
+  /// with a nonzero commit timestamp, or a closed segment below the
+  /// append target. Such a log must be replayed before new commits are
+  /// appended behind it (their timestamps would restart at 1).
+  bool found_commits() const { return found_commits_; }
+
   /// Records appended through this writer since Open (tests/obs).
   uint64_t appended_records() const;
   /// Forces issued since Open (tests/obs).
@@ -87,10 +93,11 @@ class WalWriter {
 
  private:
   WalWriter(std::string path, std::FILE* file, uint64_t segment_bytes,
-            uint64_t segment_index, uint64_t segment_size)
+            uint64_t segment_index, uint64_t segment_size, bool found_commits)
       : path_(std::move(path)),
         file_(file),
         segment_bytes_(segment_bytes),
+        found_commits_(found_commits),
         segment_index_(segment_index),
         segment_size_(segment_size) {}
 
@@ -102,6 +109,7 @@ class WalWriter {
   mutable Mutex mu_{lockdep::kWalWriterClass};
   std::FILE* file_ OCB_GUARDED_BY(mu_);
   const uint64_t segment_bytes_;  ///< Rotation threshold; 0 = never rotate.
+  const bool found_commits_;      ///< See found_commits().
 
   /// Index of the open append segment.
   uint64_t segment_index_ OCB_GUARDED_BY(mu_) = 0;

@@ -1,5 +1,5 @@
 // Isolation-anomaly battery across the three concurrency-control
-// algorithms (TxnOptions::cc): lost update, write skew, dirty read,
+// algorithms (the writer TxnMode): lost update, write skew, dirty read,
 // non-repeatable read, the read-only (pure-reader validation) anomaly,
 // and the extent-membership (phantom) race. Expected outcomes:
 //
@@ -59,18 +59,12 @@ Schema TwoClassSchema() {
   return out;
 }
 
-TxnOptions Opts(CcAlgorithm cc) {
-  TxnOptions o;
-  o.cc = cc;
-  return o;
-}
-
 /// A conflict loss: 2PL deadlock victim or SI/OCC validation failure.
 bool IsConflict(const Status& st) {
   return st.IsAborted() || st.IsWriteConflict();
 }
 
-class AnomalyTest : public ::testing::TestWithParam<CcAlgorithm> {
+class AnomalyTest : public ::testing::TestWithParam<TxnMode> {
  protected:
   AnomalyTest() : db_(TestOptions()) {
     db_.SetSchema(TwoClassSchema());
@@ -80,8 +74,8 @@ class AnomalyTest : public ::testing::TestWithParam<CcAlgorithm> {
     mark2_ = *db_.CreateObject(1);
   }
 
-  Transaction BeginWith(CcAlgorithm cc) {
-    return db_.OpenSession().Begin(Opts(cc));
+  Transaction BeginWith(TxnMode mode) {
+    return db_.OpenSession().Begin(mode);
   }
 
   /// Sets orefs[0] of \p oid to \p value through a plain 2PL txn.
@@ -164,11 +158,11 @@ TEST_P(AnomalyTest, DirtyWriteNeverVisible) {
   dirty->orefs[0] = mark1_;
   ASSERT_TRUE(writer.Put(dirty.value()).ok());  // In place, uncommitted.
 
-  if (GetParam() == CcAlgorithm::kStrict2PL) {
+  if (GetParam() == TxnMode::k2PL) {
     std::atomic<bool> read_done{false};
     Oid seen = mark1_;  // Poisoned default: test fails if never assigned.
     std::thread reader([&] {
-      auto txn = BeginWith(CcAlgorithm::kStrict2PL);
+      auto txn = BeginWith(TxnMode::k2PL);
       auto obj = txn.Get(a_);  // Blocks behind the writer's X.
       if (obj.ok()) seen = obj->orefs[0];
       read_done.store(true);
@@ -195,10 +189,10 @@ TEST_P(AnomalyTest, DirtyWriteNeverVisible) {
 // --- Non-repeatable read -------------------------------------------------
 
 TEST_P(AnomalyTest, NonRepeatableReadForbidden) {
-  if (GetParam() == CcAlgorithm::kStrict2PL) {
+  if (GetParam() == TxnMode::k2PL) {
     // T1's S lock blocks the overwriter until T1 finishes: both reads
     // inside T1 necessarily agree.
-    auto t1 = BeginWith(CcAlgorithm::kStrict2PL);
+    auto t1 = BeginWith(TxnMode::k2PL);
     auto first = t1.Get(a_);
     ASSERT_TRUE(first.ok());
     std::thread overwriter([&] {
@@ -231,7 +225,7 @@ TEST_P(AnomalyTest, NonRepeatableReadForbidden) {
   Store(a_, mark1_);  // A committed overwrite between T1's two reads.
 
   auto second = t1.Get(a_);
-  if (GetParam() == CcAlgorithm::kSnapshotIsolation) {
+  if (GetParam() == TxnMode::kSI) {
     // SI re-reads the pinned snapshot: same value, and the transaction
     // commits fine (its write set is empty — nothing to validate).
     ASSERT_TRUE(second.ok());
@@ -284,8 +278,8 @@ TEST_F(WriteSkewTest, SnapshotIsolationAdmitsWriteSkew) {
   // writes are buffered. Both transactions validate first-committer-wins
   // over DISJOINT write sets, so both commit — and the cleared-both
   // final state violates the constraint. This is the admission proof.
-  auto t1 = BeginWith(CcAlgorithm::kSnapshotIsolation);
-  auto t2 = BeginWith(CcAlgorithm::kSnapshotIsolation);
+  auto t1 = BeginWith(TxnMode::kSI);
+  auto t2 = BeginWith(TxnMode::kSI);
   ASSERT_TRUE(ReadBothClearOne(t1, a_).ok());
   ASSERT_TRUE(ReadBothClearOne(t2, b_).ok());
   EXPECT_TRUE(t1.Commit().ok());
@@ -297,8 +291,8 @@ TEST_F(WriteSkewTest, SnapshotIsolationAdmitsWriteSkew) {
 TEST_F(WriteSkewTest, SiloOccForbidsWriteSkew) {
   // Same interleaving under OCC: T2's read of A is invalidated by T1's
   // commit, so T2's read-set validation fails. Serializability restored.
-  auto t1 = BeginWith(CcAlgorithm::kSiloOCC);
-  auto t2 = BeginWith(CcAlgorithm::kSiloOCC);
+  auto t1 = BeginWith(TxnMode::kOCC);
+  auto t2 = BeginWith(TxnMode::kOCC);
   ASSERT_TRUE(ReadBothClearOne(t1, a_).ok());
   ASSERT_TRUE(ReadBothClearOne(t2, b_).ok());
   EXPECT_TRUE(t1.Commit().ok());
@@ -313,7 +307,7 @@ TEST_F(WriteSkewTest, Strict2PlForbidsWriteSkew) {
   std::atomic<int> ready{0};
   std::atomic<int> losers{0};
   auto client = [&](Oid victim) {
-    auto txn = BeginWith(CcAlgorithm::kStrict2PL);
+    auto txn = BeginWith(TxnMode::k2PL);
     auto oa = txn.Get(a_);
     ASSERT_TRUE(oa.ok());
     auto ob = txn.Get(b_);
@@ -346,7 +340,7 @@ TEST_F(WriteSkewTest, OccPureReaderNeverObservesBrokenReads) {
   // existed. A Silo transaction validates its read set even with an
   // empty write set, so T's commit is refused — it never vouches for
   // the broken view.
-  auto t = BeginWith(CcAlgorithm::kSiloOCC);
+  auto t = BeginWith(TxnMode::kOCC);
   auto oa = t.Get(a_);
   ASSERT_TRUE(oa.ok());
   EXPECT_EQ(oa->orefs[0], mark1_);
@@ -375,7 +369,7 @@ TEST_F(WriteSkewTest, OccPureReaderNeverObservesBrokenReads) {
 TEST_F(WriteSkewTest, SiReaderAlwaysSeesConsistentCut) {
   // The SI counterpart: both reads resolve against the pinned snapshot,
   // so the view is a consistent cut by construction and commit is fine.
-  auto t = BeginWith(CcAlgorithm::kSnapshotIsolation);
+  auto t = BeginWith(TxnMode::kSI);
   auto oa = t.Get(a_);
   ASSERT_TRUE(oa.ok());
 
@@ -406,7 +400,7 @@ TEST_F(WriteSkewTest, ExtentRaceOccAbortsOnPhantom) {
   // create commits a new member, T writes something and commits: the
   // extent version moved, so validation refuses — T's scan-derived
   // decision never coexists with the phantom.
-  auto t = BeginWith(CcAlgorithm::kSiloOCC);
+  auto t = BeginWith(TxnMode::kOCC);
   const size_t members = t.ExtentSnapshot(0).size();
   EXPECT_GE(members, 2u);
 
@@ -427,7 +421,7 @@ TEST_F(WriteSkewTest, ExtentRaceOccAbortsOnPhantom) {
 TEST_F(WriteSkewTest, ExtentRaceSiScanIsRepeatable) {
   // SI writers filter extents at their snapshot: the concurrent create
   // never appears, and a re-scan returns the same membership.
-  auto t = BeginWith(CcAlgorithm::kSnapshotIsolation);
+  auto t = BeginWith(TxnMode::kSI);
   const std::vector<Oid> before = t.ExtentSnapshot(0);
 
   {
@@ -441,7 +435,7 @@ TEST_F(WriteSkewTest, ExtentRaceSiScanIsRepeatable) {
   EXPECT_TRUE(t.Commit().ok());
 
   // And an SI writer's OWN creation is visible to its re-scan.
-  auto t2 = BeginWith(CcAlgorithm::kSnapshotIsolation);
+  auto t2 = BeginWith(TxnMode::kSI);
   const size_t base = t2.ExtentSnapshot(0).size();
   auto created = t2.Create(0);
   ASSERT_TRUE(created.ok());
@@ -456,7 +450,7 @@ TEST_F(WriteSkewTest, ExtentRaceStrict2PlScansLive) {
   // The documented 2PL baseline: extent scans read live membership, so
   // a committed concurrent create IS visible to the second scan (2PL
   // takes no extent locks — phantom protection is SI/OCC territory).
-  auto t = BeginWith(CcAlgorithm::kStrict2PL);
+  auto t = BeginWith(TxnMode::k2PL);
   const size_t before = t.ExtentSnapshot(0).size();
   {
     auto w = db_.OpenSession().Begin();
@@ -469,17 +463,17 @@ TEST_F(WriteSkewTest, ExtentRaceStrict2PlScansLive) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllAlgorithms, AnomalyTest,
-    ::testing::Values(CcAlgorithm::kStrict2PL,
-                      CcAlgorithm::kSnapshotIsolation,
-                      CcAlgorithm::kSiloOCC),
-    [](const ::testing::TestParamInfo<CcAlgorithm>& info) {
+    ::testing::Values(TxnMode::k2PL, TxnMode::kSI, TxnMode::kOCC),
+    [](const ::testing::TestParamInfo<TxnMode>& info) {
       switch (info.param) {
-        case CcAlgorithm::kStrict2PL:
+        case TxnMode::k2PL:
           return std::string("Strict2PL");
-        case CcAlgorithm::kSnapshotIsolation:
+        case TxnMode::kSI:
           return std::string("SnapshotIsolation");
-        case CcAlgorithm::kSiloOCC:
+        case TxnMode::kOCC:
           return std::string("SiloOCC");
+        case TxnMode::kSnapshotRead:
+          break;  // Readers are not a writer scheme under test.
       }
       return std::string("Unknown");
     });

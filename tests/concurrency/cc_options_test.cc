@@ -1,14 +1,10 @@
-// The TxnOptions {read_only, isolation, cc} matrix: nonsensical
-// combinations come back as *poisoned* transaction handles — Begin
-// refuses with a typed InvalidArgument that every subsequent operation
-// re-surfaces — while every sensible combination begins, runs, and
-// commits. Also pins the SI/OCC operation surface: SetReference and
-// DeleteObject are typed NotSupported (their symmetric backref
-// choreography needs 2PL's eager footprint), never silent no-ops.
+// TxnMode: every mode begins, runs and commits on both engines. Also
+// pins the per-mode operation surface: SI/OCC refuse SetReference and
+// Delete with typed NotSupported (their symmetric backref choreography
+// needs 2PL's eager footprint), and kSnapshotRead refuses every write
+// with InvalidArgument — never silent no-ops.
 
 #include <gtest/gtest.h>
-
-#include <string>
 
 #include "engine/session.h"
 #include "oodb/database.h"
@@ -16,6 +12,9 @@
 
 namespace ocb {
 namespace {
+
+constexpr TxnMode kAllModes[] = {TxnMode::kSnapshotRead, TxnMode::k2PL,
+                                 TxnMode::kSI, TxnMode::kOCC};
 
 StorageOptions TestOptions() {
   StorageOptions opts;
@@ -39,174 +38,82 @@ Schema OneClassSchema() {
   return out;
 }
 
-TxnOptions Make(bool read_only, IsolationLevel isolation, CcAlgorithm cc) {
-  TxnOptions o;
-  o.read_only = read_only;
-  o.isolation = isolation;
-  o.cc = cc;
-  return o;
-}
-
-class CcOptionsTest : public ::testing::Test {
- protected:
-  CcOptionsTest() : db_(TestOptions()) {
-    db_.SetSchema(OneClassSchema());
-    oid_ = *db_.CreateObject(0);
+// Begins \p mode on \p db, reads (and unless a reader, rewrites) \p oid,
+// and commits.
+template <typename DB>
+void BeginRunCommit(DB* db, TxnMode mode, Oid oid) {
+  auto txn = db->OpenSession().Begin(mode);
+  ASSERT_TRUE(txn.valid());
+  EXPECT_EQ(txn.mode(), mode);
+  EXPECT_EQ(txn.read_only(), mode == TxnMode::kSnapshotRead);
+  auto obj = txn.Get(oid);
+  ASSERT_TRUE(obj.ok()) << TxnModeToString(mode) << ": "
+                        << obj.status().ToString();
+  if (mode != TxnMode::kSnapshotRead) {
+    obj->orefs[0] = oid;  // Self-reference: always type-compatible.
+    ASSERT_TRUE(txn.Put(obj.value()).ok()) << TxnModeToString(mode);
   }
-
-  Database db_;
-  Oid oid_ = kInvalidOid;
-};
-
-TEST_F(CcOptionsTest, RefusedCombinationsComeBackPoisoned) {
-  const TxnOptions bad[] = {
-      // Read-only snapshot readers never validate: an optimistic cc is
-      // a contradiction, not a default to fall back from.
-      Make(true, IsolationLevel::kDefault, CcAlgorithm::kSnapshotIsolation),
-      Make(true, IsolationLevel::kDefault, CcAlgorithm::kSiloOCC),
-      Make(true, IsolationLevel::kSnapshot, CcAlgorithm::kSiloOCC),
-      // A writer asking for snapshot *isolation* must run the snapshot
-      // *algorithm* — this combination used to silently run strict 2PL.
-      Make(false, IsolationLevel::kSnapshot, CcAlgorithm::kStrict2PL),
-      Make(false, IsolationLevel::kSnapshot, CcAlgorithm::kSiloOCC),
-      // Strict-2PL isolation with an optimistic algorithm contradicts
-      // itself on either axis order.
-      Make(false, IsolationLevel::kStrict2PL,
-           CcAlgorithm::kSnapshotIsolation),
-      Make(false, IsolationLevel::kStrict2PL, CcAlgorithm::kSiloOCC),
-  };
-  for (const TxnOptions& options : bad) {
-    auto txn = db_.OpenSession().Begin(options);
-    EXPECT_FALSE(txn.valid());
-    EXPECT_TRUE(txn.begin_status().IsInvalidArgument())
-        << txn.begin_status().ToString();
-    // The message names the offending option, not just "invalid".
-    EXPECT_NE(txn.begin_status().ToString().find("Begin refused"),
-              std::string::npos)
-        << txn.begin_status().ToString();
-  }
+  EXPECT_TRUE(txn.Commit().ok()) << TxnModeToString(mode);
 }
 
-TEST_F(CcOptionsTest, PoisonedHandleSurfacesTheRefusalEverywhere) {
-  auto txn = db_.OpenSession().Begin(
-      Make(true, IsolationLevel::kDefault, CcAlgorithm::kSiloOCC));
-  ASSERT_FALSE(txn.valid());
-  const std::string refusal = txn.begin_status().ToString();
-
-  // Every operation on the poisoned handle returns THE refusal — no
-  // crashes, no mystery InvalidArgument from a deeper layer.
-  EXPECT_EQ(txn.Get(oid_).status().ToString(), refusal);
-  EXPECT_EQ(txn.Create(0).status().ToString(), refusal);
-  Object obj;
-  obj.oid = oid_;
-  obj.class_id = 0;
-  EXPECT_EQ(txn.Put(obj).ToString(), refusal);
-  EXPECT_EQ(txn.Commit().ToString(), refusal);
-  EXPECT_EQ(txn.Abort().ToString(), refusal);
-  // And it stays poisoned: the handle never transitions to usable.
-  EXPECT_FALSE(txn.valid());
-}
-
-TEST_F(CcOptionsTest, SensibleCombinationsBeginAndCommit) {
-  const TxnOptions good[] = {
-      Make(false, IsolationLevel::kDefault, CcAlgorithm::kStrict2PL),
-      Make(false, IsolationLevel::kDefault, CcAlgorithm::kSnapshotIsolation),
-      Make(false, IsolationLevel::kSnapshot,
-           CcAlgorithm::kSnapshotIsolation),
-      Make(false, IsolationLevel::kDefault, CcAlgorithm::kSiloOCC),
-      Make(false, IsolationLevel::kStrict2PL, CcAlgorithm::kStrict2PL),
-      Make(true, IsolationLevel::kDefault, CcAlgorithm::kStrict2PL),
-      Make(true, IsolationLevel::kSnapshot, CcAlgorithm::kStrict2PL),
-      // The pure-locking reader: even reads queue behind writers.
-      Make(true, IsolationLevel::kStrict2PL, CcAlgorithm::kStrict2PL),
-  };
-  for (const TxnOptions& options : good) {
-    auto txn = db_.OpenSession().Begin(options);
-    ASSERT_TRUE(txn.valid()) << txn.begin_status().ToString();
-    EXPECT_TRUE(txn.begin_status().ok());
-    auto obj = txn.Get(oid_);
-    ASSERT_TRUE(obj.ok()) << obj.status().ToString();
-    if (!options.read_only) {
-      obj->orefs[0] = oid_;  // Self-reference: always type-compatible.
-      ASSERT_TRUE(txn.Put(obj.value()).ok());
-    }
-    EXPECT_TRUE(txn.Commit().ok());
-  }
-}
-
-TEST_F(CcOptionsTest, MvccDisabledRefusesOptimisticAlgorithms) {
+TEST(TxnModeTest, EveryModeBeginsAndCommitsOnDatabase) {
   Database db(TestOptions());
   db.SetSchema(OneClassSchema());
-  db.SetMvccEnabled(false);
   const Oid oid = *db.CreateObject(0);
-
-  for (CcAlgorithm cc :
-       {CcAlgorithm::kSnapshotIsolation, CcAlgorithm::kSiloOCC}) {
-    auto txn = db.OpenSession().Begin(
-        Make(false, IsolationLevel::kDefault, cc));
-    EXPECT_FALSE(txn.valid());
-    EXPECT_TRUE(txn.begin_status().IsInvalidArgument())
-        << txn.begin_status().ToString();
-    EXPECT_NE(txn.begin_status().ToString().find("MVCC"),
-              std::string::npos);
-  }
-
-  // 2PL still works with MVCC off — the baseline is never refused.
-  auto txn = db.OpenSession().Begin(
-      Make(false, IsolationLevel::kDefault, CcAlgorithm::kStrict2PL));
-  ASSERT_TRUE(txn.valid());
-  auto obj = txn.Get(oid);
-  ASSERT_TRUE(obj.ok());
-  EXPECT_TRUE(txn.Commit().ok());
+  for (TxnMode mode : kAllModes) BeginRunCommit(&db, mode, oid);
+  EXPECT_EQ(db.lock_manager()->locked_object_count(), 0u);
+  EXPECT_EQ(db.read_views()->open_count(), 0u);
 }
 
-TEST_F(CcOptionsTest, NonLockingWritersRefuseReferenceChoreography) {
-  for (CcAlgorithm cc :
-       {CcAlgorithm::kSnapshotIsolation, CcAlgorithm::kSiloOCC}) {
-    auto txn = db_.OpenSession().Begin(
-        Make(false, IsolationLevel::kDefault, cc));
-    ASSERT_TRUE(txn.valid()) << txn.begin_status().ToString();
-    Status set = txn.SetReference(oid_, 0, oid_);
+TEST(TxnModeTest, EveryModeBeginsAndCommitsOnShardedDatabase) {
+  ShardedDatabase db(TestOptions(), 4);
+  db.SetSchema(OneClassSchema());
+  const Oid oid = *db.CreateObject(0);
+  for (TxnMode mode : kAllModes) BeginRunCommit(&db, mode, oid);
+}
+
+TEST(TxnModeTest, OptimisticModesRefuseReferenceChoreography) {
+  Database db(TestOptions());
+  db.SetSchema(OneClassSchema());
+  const Oid oid = *db.CreateObject(0);
+  ShardedDatabase sharded(TestOptions(), 4);
+  sharded.SetSchema(OneClassSchema());
+  const Oid sharded_oid = *sharded.CreateObject(0);
+
+  for (TxnMode mode : {TxnMode::kSI, TxnMode::kOCC}) {
+    auto txn = db.OpenSession().Begin(mode);
+    Status set = txn.SetReference(oid, 0, oid);
     EXPECT_TRUE(set.IsNotSupported()) << set.ToString();
-    Status del = txn.Delete(oid_);
+    Status del = txn.Delete(oid);
     EXPECT_TRUE(del.IsNotSupported()) << del.ToString();
-    // The refusal is advisory, not fatal: the transaction is still
-    // usable through the supported surface (Get/Put/Create).
-    auto obj = txn.Get(oid_);
-    ASSERT_TRUE(obj.ok());
-    obj->orefs[0] = oid_;
-    EXPECT_TRUE(txn.Put(obj.value()).ok());
+    // The refusal is advisory, not fatal: the transaction still commits
+    // through the supported surface.
     EXPECT_TRUE(txn.Commit().ok());
+
+    auto stxn = sharded.OpenSession().Begin(mode);
+    set = stxn.SetReference(sharded_oid, 0, sharded_oid);
+    EXPECT_TRUE(set.IsNotSupported()) << set.ToString();
+    del = stxn.Delete(sharded_oid);
+    EXPECT_TRUE(del.IsNotSupported()) << del.ToString();
+    EXPECT_TRUE(stxn.Commit().ok());
   }
 }
 
-TEST_F(CcOptionsTest, ShardedBeginValidatesTheSameMatrix) {
-  ShardedDatabase db(TestOptions(), 2);
+TEST(TxnModeTest, SnapshotReadRefusesWrites) {
+  Database db(TestOptions());
   db.SetSchema(OneClassSchema());
   const Oid oid = *db.CreateObject(0);
 
-  auto bad = db.OpenSession().Begin(
-      Make(true, IsolationLevel::kDefault, CcAlgorithm::kSnapshotIsolation));
-  EXPECT_FALSE(bad.valid());
-  EXPECT_TRUE(bad.begin_status().IsInvalidArgument())
-      << bad.begin_status().ToString();
-
-  auto good = db.OpenSession().Begin(
-      Make(false, IsolationLevel::kSnapshot,
-           CcAlgorithm::kSnapshotIsolation));
-  ASSERT_TRUE(good.valid()) << good.begin_status().ToString();
-  auto obj = good.Get(oid);
+  auto txn = db.OpenSession().Begin(TxnMode::kSnapshotRead);
+  auto obj = txn.Get(oid);
   ASSERT_TRUE(obj.ok());
-  obj->orefs[0] = oid;
-  ASSERT_TRUE(good.Put(obj.value()).ok());
-  EXPECT_TRUE(good.Commit().ok());
-
-  auto occ = db.OpenSession().Begin(
-      Make(false, IsolationLevel::kDefault, CcAlgorithm::kSiloOCC));
-  ASSERT_TRUE(occ.valid());
-  Status set = occ.SetReference(oid, 1, oid);
-  EXPECT_TRUE(set.IsNotSupported()) << set.ToString();
-  EXPECT_TRUE(occ.Commit().ok());
+  EXPECT_TRUE(txn.Put(obj.value()).IsInvalidArgument());
+  EXPECT_TRUE(txn.SetReference(oid, 0, oid).IsInvalidArgument());
+  EXPECT_TRUE(txn.Delete(oid).IsInvalidArgument());
+  EXPECT_TRUE(txn.Create(0).status().IsInvalidArgument());
+  EXPECT_TRUE(txn.Apply(WriteBatch()).status().IsInvalidArgument());
+  EXPECT_TRUE(txn.Commit().ok());
+  EXPECT_EQ(db.object_count(), 1u);
 }
 
 }  // namespace

@@ -57,9 +57,7 @@ class MvccTest : public ::testing::Test {
 
   Transaction BeginWriter() { return db_.OpenSession().Begin(); }
   Transaction BeginReader() {
-    TxnOptions options;
-    options.read_only = true;
-    return db_.OpenSession().Begin(options);
+    return db_.OpenSession().Begin(TxnMode::kSnapshotRead);
   }
 
   Database db_;

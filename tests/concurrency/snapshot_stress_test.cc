@@ -122,11 +122,9 @@ TEST(SnapshotStressTest, ReadersAlwaysSeeTheConservedTotal) {
 
   auto reader = [&](int id) {
     auto session = db.OpenSession();
-    TxnOptions ro;
-    ro.read_only = true;
     LewisPayneRng rng(static_cast<uint64_t>(id) + 7001);
     for (int i = 0; i < kSumsPerReader && !failed && !torn; ++i) {
-      auto txn = session.Begin(ro);
+      auto txn = session.Begin(TxnMode::kSnapshotRead);
       // The whole sum as ONE batched GetMany through the ReadView.
       auto objs = txn.GetMany(accounts);
       uint64_t sum = 0;

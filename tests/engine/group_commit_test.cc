@@ -175,9 +175,7 @@ TEST(GroupCommitTest, GroupedCommitsGetDistinctTimestampsAndCleanChains) {
   EXPECT_GE(db.group_commit_stats().commits, 3u);
 
   // A new snapshot sees the final state; GC fully reclaims.
-  TxnOptions ro;
-  ro.read_only = true;
-  auto reader = session.Begin(ro);
+  auto reader = session.Begin(TxnMode::kSnapshotRead);
   EXPECT_EQ(reader.Get(source)->orefs[0], t1);
   ASSERT_TRUE(reader.Commit().ok());
   db.CollectVersionGarbage();
@@ -330,10 +328,8 @@ TEST(GroupCommitTest, ShardedGroupedCommitKeepsSnapshotsWhole) {
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&]() {
       auto session = db.OpenSession();
-      TxnOptions ro;
-      ro.read_only = true;
       for (int i = 0; i < 150; ++i) {
-        auto txn = session.Begin(ro);
+        auto txn = session.Begin(TxnMode::kSnapshotRead);
         auto pair = txn.GetMany(std::vector<Oid>{a, b});
         if (pair.ok() && pair->size() == 2 &&
             (*pair)[0].orefs[0] != (*pair)[1].orefs[0]) {

@@ -95,9 +95,7 @@ TEST_F(SessionTest, AutoAbortOnScopeExitRollsBackAndReleasesLocks) {
 TEST_F(SessionTest, AutoAbortClosesReadView) {
   {
     auto session = db_.OpenSession();
-    TxnOptions ro;
-    ro.read_only = true;
-    auto txn = session.Begin(ro);
+    auto txn = session.Begin(TxnMode::kSnapshotRead);
     ASSERT_TRUE(txn.Get(source_).ok());
     EXPECT_EQ(db_.read_views()->open_count(), 1u);
   }
@@ -154,9 +152,7 @@ TEST_F(SessionTest, GetManyMatchesSingleGetsUnderMvcc) {
   const std::vector<Oid> oids = {source_, target1_, target2_};
 
   auto session = db_.OpenSession();
-  TxnOptions ro;
-  ro.read_only = true;
-  auto reader = session.Begin(ro);
+  auto reader = session.Begin(TxnMode::kSnapshotRead);
   ASSERT_TRUE(reader.read_only());
 
   // A writer commits a change *after* the reader pinned its snapshot.
@@ -295,46 +291,6 @@ TEST_F(SessionTest, LegacyBracketFiresObserverBoundariesAndAutoCloses) {
   EXPECT_EQ(spy.begins_, 2);
   EXPECT_EQ(spy.ends_, 2);
   db_.SetObserver(nullptr);
-}
-
-TEST_F(SessionTest, Strict2plReadOnlyLocksButRefusesWrites) {
-  auto session = db_.OpenSession();
-  TxnOptions options;
-  options.read_only = true;
-  options.isolation = IsolationLevel::kStrict2PL;
-  auto txn = session.Begin(options);
-  // Not an MVCC reader: reads take real S locks...
-  EXPECT_FALSE(txn.read_only());
-  ASSERT_TRUE(txn.Get(source_).ok());
-  EXPECT_GT(db_.lock_manager()->locked_object_count(), 0u);
-  // ...but the session layer still refuses writes (typed, API-level).
-  EXPECT_TRUE(txn.SetReference(source_, 0, target1_).IsInvalidArgument());
-  EXPECT_TRUE(txn.Delete(source_).IsInvalidArgument());
-  ASSERT_TRUE(txn.Commit().ok());
-  EXPECT_EQ(db_.lock_manager()->locked_object_count(), 0u);
-}
-
-TEST_F(SessionTest, TxnOptionsDeadlockPolicyForwardsEngineWide) {
-  auto session = db_.OpenSession();
-  EXPECT_EQ(db_.deadlock_policy(), DeadlockPolicy::kCycleCloser);
-  TxnOptions options;
-  options.deadlock_policy = DeadlockPolicy::kWoundWait;
-  auto txn = session.Begin(options);
-  EXPECT_EQ(db_.deadlock_policy(), DeadlockPolicy::kWoundWait);
-  ASSERT_TRUE(txn.Commit().ok());
-
-  // A Begin with *default* options must NOT silently revert the
-  // configured policy (deadlock_policy is unset by default).
-  auto keeps = session.Begin();
-  EXPECT_EQ(db_.deadlock_policy(), DeadlockPolicy::kWoundWait);
-  ASSERT_TRUE(keeps.Commit().ok());
-
-  // Restoring takes an explicit request.
-  TxnOptions restore_options;
-  restore_options.deadlock_policy = DeadlockPolicy::kCycleCloser;
-  auto restore = session.Begin(restore_options);
-  EXPECT_EQ(db_.deadlock_policy(), DeadlockPolicy::kCycleCloser);
-  ASSERT_TRUE(restore.Commit().ok());
 }
 
 TEST_F(SessionTest, ShardedSessionSpeaksTheSameApi) {

@@ -146,16 +146,13 @@ TEST(TraceJsonTest, ReadOnlySnapshotTransactionCarriesRoArg) {
   preset.database.num_objects = 100;
   preset.database.seed = 11;
   ASSERT_TRUE(GenerateDatabase(preset.database, &db).ok());
-  db.SetMvccEnabled(true);
   const std::vector<Oid> roots = db.LiveOidsSnapshot();
 
   auto& rec = TraceRecorder::Global();
   rec.Enable();
   {
     Session session = db.OpenSession();
-    TxnOptions ro;
-    ro.read_only = true;
-    auto reader = session.Begin(ro);
+    auto reader = session.Begin(TxnMode::kSnapshotRead);
     ASSERT_TRUE(reader.Get(roots[0]).ok());
     ASSERT_TRUE(reader.Commit().ok());
   }

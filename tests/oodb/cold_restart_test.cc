@@ -50,9 +50,7 @@ TEST(ColdRestartTest, RefusesWhileSnapshotReaderIsPinned) {
   db.SetSchema(OneClassSchema());
   ASSERT_TRUE(db.CreateObject(0).ok());
   auto session = db.OpenSession();
-  TxnOptions ro;
-  ro.read_only = true;
-  auto reader = session.Begin(ro);
+  auto reader = session.Begin(TxnMode::kSnapshotRead);
   ASSERT_TRUE(reader.read_only());  // MVCC ReadView pinned.
   EXPECT_TRUE(db.ColdRestart().IsInvalidArgument());
   ASSERT_TRUE(reader.Commit().ok());
@@ -81,9 +79,7 @@ TEST(ColdRestartTest, ShardedRefusesWhileGlobalSnapshotIsOpen) {
   db.SetSchema(OneClassSchema());
   ASSERT_TRUE(db.CreateObject(0).ok());
   auto session = db.OpenSession();
-  TxnOptions ro;
-  ro.read_only = true;
-  auto reader = session.Begin(ro);  // ReadView pinned on EVERY shard.
+  auto reader = session.Begin(TxnMode::kSnapshotRead);  // ReadView pinned on EVERY shard.
   ASSERT_TRUE(reader.read_only());
   EXPECT_TRUE(db.ColdRestart().IsInvalidArgument());
   ASSERT_TRUE(reader.Commit().ok());

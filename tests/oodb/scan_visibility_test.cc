@@ -42,9 +42,7 @@ TEST(ScanVisibilityTest, SnapshotReaderDoesNotSeeMembersBornLater) {
   const Oid old2 = *db.CreateObject(0);
 
   auto session = db.OpenSession();
-  TxnOptions ro;
-  ro.read_only = true;
-  auto reader = session.Begin(ro);
+  auto reader = session.Begin(TxnMode::kSnapshotRead);
   ASSERT_TRUE(reader.read_only());
 
   // A writer commits a NEW class member while the reader is pinned.
@@ -60,7 +58,7 @@ TEST(ScanVisibilityTest, SnapshotReaderDoesNotSeeMembersBornLater) {
   ASSERT_TRUE(reader.Commit().ok());
 
   // A view opened after the commit sees all three.
-  auto later = session.Begin(ro);
+  auto later = session.Begin(TxnMode::kSnapshotRead);
   EXPECT_EQ(later.ExtentSnapshot(0).size(), 3u);
   ASSERT_TRUE(later.Commit().ok());
 }
@@ -92,9 +90,7 @@ TEST(ScanVisibilityTest, ShardedSnapshotReaderDoesNotSeeMembersBornLater) {
   std::sort(old_members.begin(), old_members.end());
 
   auto session = db.OpenSession();
-  TxnOptions ro;
-  ro.read_only = true;
-  auto reader = session.Begin(ro);
+  auto reader = session.Begin(TxnMode::kSnapshotRead);
   ASSERT_TRUE(reader.read_only());
 
   auto writer = session.Begin();

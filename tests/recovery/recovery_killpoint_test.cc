@@ -143,7 +143,7 @@ void StormChild(DB* db, std::FILE* side, int threads, int per_thread) {
 // checked.
 template <typename DB>
 void CcStormChild(DB* db, std::FILE* side, int threads, int per_thread,
-                  CcAlgorithm cc) {
+                  TxnMode cc) {
   std::vector<Oid> shared;
   {
     auto txn = db->OpenSession().Begin();
@@ -155,14 +155,12 @@ void CcStormChild(DB* db, std::FILE* side, int threads, int per_thread,
     if (!txn.Commit().ok()) _exit(3);
   }
 
-  TxnOptions optimistic;
-  optimistic.cc = cc;
   std::mutex mu;
 
   {
     // The guaranteed validation abort: read shared[0] optimistically,
     // let a 2PL writer commit it, then fail commit validation.
-    auto loser = db->OpenSession().Begin(optimistic);
+    auto loser = db->OpenSession().Begin(cc);
     auto witness = loser.Create(1);
     auto target = loser.Get(shared[0]);
     if (!witness.ok() || !target.ok()) _exit(3);
@@ -198,12 +196,10 @@ void CcStormChild(DB* db, std::FILE* side, int threads, int per_thread,
   for (int t = 0; t < threads; ++t) {
     workers.emplace_back([db, side, per_thread, cc, &mu, &shared, t]() {
       auto session = db->OpenSession();
-      TxnOptions options;
-      options.cc = cc;
       std::mt19937 rng(static_cast<unsigned>(7 + t));
       std::uniform_int_distribution<size_t> pick(0, shared.size() - 1);
       for (int i = 0; i < per_thread; ++i) {
-        auto txn = session.Begin(options);
+        auto txn = session.Begin(cc);
         const Oid a = shared[pick(rng)];
         auto target = txn.Get(a);
         if (!target.ok()) _exit(3);
@@ -254,9 +250,9 @@ int RunKillChild(const std::string& mode) {
       point != nullptr && std::string(point) == "mid-checkpoint";
   if (mode == "db-si" || mode == "db-occ" || mode == "sharded-si" ||
       mode == "sharded-occ") {
-    const CcAlgorithm cc = mode.find("-si") != std::string::npos
-                               ? CcAlgorithm::kSnapshotIsolation
-                               : CcAlgorithm::kSiloOCC;
+    const TxnMode cc = mode.find("-si") != std::string::npos
+                               ? TxnMode::kSI
+                               : TxnMode::kOCC;
     if (mode.rfind("db", 0) == 0) {
       Database db(ChildOptions(wal));
       db.SetSchema(TwoClassSchema());

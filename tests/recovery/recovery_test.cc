@@ -139,6 +139,70 @@ TEST_F(RecoveryTest, UncommittedWritesDoNotReplay) {
   EXPECT_TRUE(revived.ExtentSnapshot(1).empty());
 }
 
+TEST_F(RecoveryTest, CommitIntoUnrecoveredLogIsRefusedUntilRecovery) {
+  Oid a = 0, b = 0;
+  {
+    Database db(WalOptions());
+    db.SetSchema(TwoClassSchema());
+    EXPECT_FALSE(db.wal_recovery_pending());  // A fresh log.
+    std::tie(a, b) = CommitLinkedPair(&db);
+  }
+  Database reopened(WalOptions());
+  reopened.SetSchema(TwoClassSchema());
+  ASSERT_TRUE(reopened.wal_recovery_pending());
+  auto session = reopened.OpenSession();
+  {
+    // Appending now would restart the timestamp axis at 1 behind the
+    // earlier run's records: refused, and the writer rolled back.
+    auto txn = session.Begin();
+    auto c = txn.Create(0);
+    ASSERT_TRUE(c.ok());
+    Status st = txn.Commit();
+    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_EQ(txn.state(), TxnState::kAborted);
+    EXPECT_EQ(reopened.object_count(), 0u);
+    // Readers have nothing to log and still commit.
+    auto reader = session.Begin(TxnMode::kSnapshotRead);
+    EXPECT_TRUE(reader.Commit().ok());
+  }
+  ASSERT_TRUE(wal::RecoverDatabase(&reopened).ok());
+  EXPECT_FALSE(reopened.wal_recovery_pending());
+  auto [c, d] = CommitLinkedPair(&reopened);
+
+  // Both runs' commits replay into one consistent state.
+  Database revived(WalOptions());
+  revived.SetSchema(TwoClassSchema());
+  ASSERT_TRUE(wal::RecoverDatabase(&revived).ok());
+  EXPECT_EQ(revived.object_count(), 4u);
+  EXPECT_EQ(revived.PeekObject(a)->orefs[0], b);
+  EXPECT_EQ(revived.PeekObject(c)->orefs[0], d);
+}
+
+TEST_F(RecoveryTest, ShardedCommitIntoUnrecoveredLogIsRefusedUntilRecovery) {
+  constexpr uint32_t kShards = 4;
+  {
+    ShardedDatabase db(WalOptions(), kShards);
+    db.SetSchema(TwoClassSchema());
+    EXPECT_FALSE(db.wal_recovery_pending());
+    CommitLinkedPair(&db);
+  }
+  ShardedDatabase reopened(WalOptions(), kShards);
+  reopened.SetSchema(TwoClassSchema());
+  ASSERT_TRUE(reopened.wal_recovery_pending());
+  {
+    auto txn = reopened.OpenSession().Begin();
+    ASSERT_TRUE(txn.Create(0).ok());
+    Status st = txn.Commit();
+    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_EQ(reopened.object_count(), 0u);
+  }
+  ASSERT_TRUE(wal::RecoverShardedDatabase(&reopened).ok());
+  EXPECT_FALSE(reopened.wal_recovery_pending());
+  auto [x, y] = CommitLinkedPair(&reopened);
+  EXPECT_TRUE(reopened.ContainsObject(x));
+  EXPECT_TRUE(reopened.ContainsObject(y));
+}
+
 TEST_F(RecoveryTest, ReplayIsIdempotent) {
   Oid a = 0, b = 0;
   {

@@ -65,9 +65,7 @@ class CrossShardTest : public ::testing::Test {
 
   ShardedSessionTransaction Begin() { return db_.OpenSession().Begin(); }
   ShardedSessionTransaction BeginReader() {
-    TxnOptions options;
-    options.read_only = true;
-    return db_.OpenSession().Begin(options);
+    return db_.OpenSession().Begin(TxnMode::kSnapshotRead);
   }
 
   ShardedDatabase db_;
@@ -207,10 +205,8 @@ TEST_F(CrossShardTest, SnapshotConsistencyUnderConcurrentWriters) {
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&]() {
       auto session = db_.OpenSession();
-      TxnOptions ro;
-      ro.read_only = true;
       for (int i = 0; i < 200; ++i) {
-        auto txn = session.Begin(ro);
+        auto txn = session.Begin(TxnMode::kSnapshotRead);
         auto oa = txn.Get(a_);
         auto ob = txn.Get(b_);
         if (oa.ok() && ob.ok()) {
@@ -273,10 +269,8 @@ TEST_F(CrossShardTest, FastPathSnapshotConsistencyUnderConcurrentWriters) {
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&]() {
       auto session = db_.OpenSession();
-      TxnOptions ro;
-      ro.read_only = true;
       for (int i = 0; i < 200; ++i) {
-        auto txn = session.Begin(ro);
+        auto txn = session.Begin(TxnMode::kSnapshotRead);
         auto oa = txn.Get(a_);
         auto oe = txn.Get(e);
         if (oa.ok() && oe.ok() && oa->orefs[0] != oe->orefs[0]) {
@@ -307,19 +301,11 @@ TEST_F(CrossShardTest, PerShardQuiesceLeavesOtherShardsRunning) {
   EXPECT_EQ(db_.shard(1)->PeekObject(b_)->orefs[0], t2_);
 }
 
-TEST_F(CrossShardTest, ReadOnlyTxnRefusesWritesAndFallsBackWithoutMvcc) {
+TEST_F(CrossShardTest, ReadOnlyTxnRefusesWrites) {
   auto reader = BeginReader();
   EXPECT_TRUE(reader.read_only());
   EXPECT_TRUE(reader.SetReference(a_, 0, t1_).IsInvalidArgument());
   EXPECT_TRUE(reader.Commit().ok());
-
-  db_.SetMvccEnabled(false);
-  TxnOptions ro;
-  ro.read_only = true;
-  auto locked = db_.OpenSession().Begin(ro);
-  EXPECT_FALSE(locked.read_only());  // Downgraded to a locking txn.
-  EXPECT_TRUE(locked.Commit().ok());
-  db_.SetMvccEnabled(true);
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "sharding/sharded_database.h"
 #include "util/format.h"
 #include "wal/recovery.h"
+#include "wal/wal_reader.h"
 
 namespace ocb {
 namespace {
@@ -54,12 +55,27 @@ Schema TwoClassSchema() {
 
 class WalConcurrencyTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    std::remove(wal_.c_str());
+  // Both ends clean up: a hung or killed run never reaches TearDown, and
+  // a log it leaves behind would poison the next run of this suite.
+  void SetUp() override { RemoveArtefacts(); }
+  void TearDown() override { RemoveArtefacts(); }
+
+  /// Every file a test here can leave behind: the base, shard and
+  /// coordinator logs with all their segments, the automatic-checkpoint
+  /// snapshots, and the explicit checkpoint.
+  void RemoveArtefacts() {
+    std::vector<std::string> logs = {wal_, wal_ + ".coord"};
     for (uint32_t k = 0; k < 8; ++k) {
-      std::remove((wal_ + Format(".shard%u", k)).c_str());
+      logs.push_back(wal_ + Format(".shard%u", k));
     }
-    std::remove((wal_ + ".coord").c_str());
+    for (const std::string& log : logs) {
+      for (uint64_t seg : wal::ListWalSegments(log)) {
+        std::remove(wal::WalSegmentPath(log, seg).c_str());
+      }
+    }
+    std::remove((wal_ + ".autockpt0").c_str());
+    std::remove((wal_ + ".autockpt1").c_str());
+    std::remove(snap_.c_str());
   }
 
   StorageOptions WalOptions() {
@@ -71,6 +87,7 @@ class WalConcurrencyTest : public ::testing::Test {
   }
 
   std::string wal_ = TempPath("ocb_wal_concurrency_test.wal");
+  std::string snap_ = TempPath("ocb_wal_concurrency_test.snap");
 };
 
 // Runs kThreads committer threads against \p db, each committing
@@ -125,7 +142,6 @@ TEST_F(WalConcurrencyTest, CheckpointRacesCommittersAndStillRecovers) {
   // SaveSnapshot refuses while writers hold locks, so the checkpointer
   // spins until it lands between commits; whether each commit falls
   // before or after the watermark, recovery must surface all of them.
-  const std::string snap = TempPath("ocb_wal_concurrency_test.snap");
   std::vector<std::pair<Oid, Oid>> committed;
   {
     Database db(WalOptions());
@@ -134,7 +150,7 @@ TEST_F(WalConcurrencyTest, CheckpointRacesCommittersAndStillRecovers) {
     std::atomic<int> checkpoints{0};
     std::thread checkpointer([&]() {
       while (!done.load(std::memory_order_relaxed)) {
-        if (SaveSnapshot(&db, snap).ok()) {
+        if (SaveSnapshot(&db, snap_).ok()) {
           checkpoints.fetch_add(1, std::memory_order_relaxed);
         }
         std::this_thread::yield();
@@ -146,7 +162,7 @@ TEST_F(WalConcurrencyTest, CheckpointRacesCommittersAndStillRecovers) {
     // The racer may never win a quiesce window against a dense storm, so
     // guarantee at least one checkpoint, with a committed tail past it.
     if (checkpoints.load() == 0) {
-      ASSERT_TRUE(SaveSnapshot(&db, snap).ok());
+      ASSERT_TRUE(SaveSnapshot(&db, snap_).ok());
     }
     auto session = db.OpenSession();
     auto txn = session.Begin();
@@ -166,7 +182,6 @@ TEST_F(WalConcurrencyTest, CheckpointRacesCommittersAndStillRecovers) {
     ASSERT_TRUE(ra.ok()) << "oid " << a;
     EXPECT_EQ(ra->orefs[0], b) << "oid " << a;
   }
-  std::remove(snap.c_str());
 }
 
 TEST_F(WalConcurrencyTest, ShardedConcurrentCommittersAllRecover) {
