@@ -1,9 +1,12 @@
 /// \file bench_micro.cc
 /// \brief Ext-7: google-benchmark microbenchmarks of the substrate hot
 ///        paths — RNG draws, distribution sampling, page operations,
-///        buffer-pool hits, object codec, and generator throughput.
+///        buffer-pool hits and misses, inline disk reads, object codec,
+///        and generator throughput.
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "oodb/database.h"
 #include "ocb/generator.h"
@@ -75,6 +78,39 @@ void BM_BufferPoolHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BufferPoolHit);
+
+// The per-miss floor: 8 frames cycling over 64 clean pages, so every fetch
+// misses, evicts the least recently used frame (no write-back) and reads
+// the page through the inline DiskSim path.
+void BM_BufferPoolMiss(benchmark::State& state) {
+  StorageOptions options;
+  options.buffer_pool_pages = 8;
+  DiskSim disk(options);
+  BufferPool pool(&disk, options);
+  std::vector<PageId> pages;
+  for (int i = 0; i < 64; ++i) pages.push_back(disk.AllocatePage());
+  size_t next = 0;
+  for (auto _ : state) {
+    auto h = pool.FetchPage(pages[next], LatchMode::kShared);
+    benchmark::DoNotOptimize(h);
+    next = (next + 1) % pages.size();
+  }
+  if (pool.stats().hits.load() != 0) state.SkipWithError("a fetch hit");
+}
+BENCHMARK(BM_BufferPoolMiss);
+
+// One inline page read: the simulated disk's accounting and the page copy.
+void BM_DiskSimReadPage(benchmark::State& state) {
+  StorageOptions options;
+  DiskSim disk(options);
+  const PageId id = disk.AllocatePage();
+  std::vector<uint8_t> out(options.page_size);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(disk.ReadPage(id, out.data()));
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_DiskSimReadPage);
 
 void BM_ObjectCodecRoundTrip(benchmark::State& state) {
   Object obj;

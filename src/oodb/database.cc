@@ -210,12 +210,14 @@ void Database::SetSchema(Schema schema) {
 }
 
 void Database::NotifyObjectAccess(Oid oid) {
+  if (!observer_attached_.load(std::memory_order_acquire)) return;
   MutexLock lock(observer_mu_);
   if (observer_ != nullptr) observer_->OnObjectAccess(oid);
 }
 
 void Database::NotifyLinkCross(Oid from, Oid to, RefTypeId type,
                                bool reverse) {
+  if (!observer_attached_.load(std::memory_order_acquire)) return;
   MutexLock lock(observer_mu_);
   if (observer_ != nullptr) observer_->OnLinkCross(from, to, type, reverse);
 }
@@ -1222,6 +1224,7 @@ Status Database::AcquireWriteFootprint(TransactionContext* txn,
 void Database::SetObserver(AccessObserver* observer) {
   MutexLock lock(observer_mu_);
   observer_ = observer;
+  observer_attached_.store(observer != nullptr, std::memory_order_release);
 }
 
 void Database::BeginTransaction() {

@@ -401,7 +401,8 @@ class Database {
   /// and from its class extent.
   Status DeleteObject(Oid oid) { return DeleteObject(nullptr, oid); }
 
-  /// Observer management (pass nullptr to detach).
+  /// Observer management (pass nullptr to detach). Detaching is
+  /// synchronous: no callback runs after SetObserver(nullptr) returns.
   void SetObserver(AccessObserver* observer);
 
   /// Notifies transaction boundaries to the observer (legacy, non-2PL
@@ -696,7 +697,8 @@ class Database {
   /// returns InvalidArgument; OK for readers and once recovered.
   Status RefuseUnrecoveredWal(TransactionContext* txn);
 
-  /// Observer notification helpers (serialize on observer_mu_).
+  /// Per-object observer notifications. They return before observer_mu_
+  /// when no observer is attached; otherwise they serialize on it.
   void NotifyObjectAccess(Oid oid);
   void NotifyLinkCross(Oid from, Oid to, RefTypeId type, bool reverse);
 
@@ -797,6 +799,11 @@ class Database {
   /// Serializes observer callbacks (clustering policies are not internally
   /// synchronized).
   Mutex observer_mu_{lockdep::kObserverClass};
+  /// observer_ != nullptr, written by SetObserver under observer_mu_: the
+  /// per-object notifications' lock-free "nobody is listening" check. A
+  /// stale true only costs the lock (observer_ is re-read under it), so a
+  /// callback never runs after SetObserver(nullptr) returns.
+  std::atomic<bool> observer_attached_{false};
 
   /// Serializes QuiesceGuard owners (reorganizers, snapshot save/load).
   std::recursive_mutex reorg_mu_;

@@ -132,6 +132,9 @@ BufferPool::BufferPool(DiskSim* disk, const StorageOptions& options)
   for (size_t i = 0; i < frame_count_; ++i) {
     stripes_[i % stripe_count]->owned_frames.push_back(i);
   }
+  for (auto& stripe : stripes_) {
+    stripe->spare_entries.reserve(stripe->owned_frames.size());
+  }
   // Resolve the latch-wait instruments now, with no lock held. The first
   // lookup takes the metrics-registry mutex, which ranks above every
   // engine mutex (Snapshot() runs gauge callbacks under it) — so a lazy
@@ -144,12 +147,39 @@ BufferPool::BufferPool(DiskSim* disk, const StorageOptions& options)
 // TSA exemption: the cv wait unlocks and relocks quiesce_mu_ mid-function,
 // a flow the intraprocedural analysis cannot follow; lockdep still sees
 // every transition.
-void BufferPool::MaybeWaitForQuiesce() OCB_NO_THREAD_SAFETY_ANALYSIS {
-  if (!quiescing_.load(std::memory_order_acquire)) return;
-  if (tls_pin_depth > 0) return;  // Mid-operation: allowed to finish.
-  std::unique_lock<Mutex> lock(quiesce_mu_);
-  if (quiesce_owner_ == std::this_thread::get_id()) return;
-  quiesce_cv_.wait(lock, [&] { return quiesce_depth_ == 0; });
+void BufferPool::AdmitPin() OCB_NO_THREAD_SAFETY_ANALYSIS {
+  for (;;) {
+    // Count first, then check — both seq_cst, pairing with BeginQuiesce's
+    // store-quiescing_-then-read-total_pins_: either the quiescer sees
+    // this pin and waits for it, or this thread sees the closed gate.
+    total_pins_.fetch_add(1, std::memory_order_seq_cst);
+    if (tls_pin_depth++ > 0) return;  // Mid-operation: allowed to finish.
+    if (!quiescing_.load(std::memory_order_seq_cst)) return;
+    std::unique_lock<Mutex> lock(quiesce_mu_);
+    // Depth 0: the gate reopened since the check, and a new quiescer
+    // closes it only under this mutex and then counts our pin.
+    if (quiesce_depth_ == 0 ||
+        quiesce_owner_ == std::this_thread::get_id()) {
+      return;
+    }
+    // Back out: the quiescer may be waiting for exactly this count.
+    --tls_pin_depth;
+    if (total_pins_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
+      quiesce_cv_.notify_all();
+    }
+    quiesce_cv_.wait(lock, [&] { return quiesce_depth_ == 0; });
+  }
+}
+
+void BufferPool::DropPinCount() {
+  --tls_pin_depth;
+  // seq_cst pairs with BeginQuiesce (see there): the last unpinner must
+  // either see quiescing_ and notify, or the quiescer must see zero pins.
+  if (total_pins_.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
+      quiescing_.load(std::memory_order_seq_cst)) {
+    MutexLock lock(quiesce_mu_);
+    quiesce_cv_.notify_all();
+  }
 }
 
 // TSA exemption: cv waits relock quiesce_mu_ mid-function.
@@ -165,12 +195,13 @@ void BufferPool::BeginQuiesce() OCB_NO_THREAD_SAFETY_ANALYSIS {
   quiesce_cv_.wait(lock, [&] { return quiesce_depth_ == 0; });
   quiesce_owner_ = me;
   quiesce_depth_ = 1;
-  // Sequentially consistent with Unpin's decrement-then-check: this side
-  // stores quiescing_ then reads total_pins_, Unpin decrements
-  // total_pins_ then reads quiescing_. With weaker orders both sides may
-  // read the old value (store-buffer reordering on a multi-core host), the
-  // last unpinner skips the notify, and this wait sleeps forever with the
-  // gate closed.
+  // Sequentially consistent with both sides of the pin count. Unpin
+  // decrements total_pins_ then reads quiescing_: with weaker orders both
+  // sides may read the old value (store-buffer reordering on a multi-core
+  // host), the last unpinner skips the notify, and this wait sleeps
+  // forever with the gate closed. AdmitPin increments total_pins_ then
+  // reads quiescing_: with weaker orders a fetch could pin after this
+  // thread saw zero pins.
   quiescing_.store(true, std::memory_order_seq_cst);
   // Drain: in-flight operations keep their gate exemption via tls_pin_depth
   // and finish; nobody else can start pinning.
@@ -204,7 +235,7 @@ Result<PageHandle> BufferPool::FetchPage(PageId page_id, LatchMode mode) {
 // the intraprocedural analysis cannot follow; lockdep tracks it.
 PendingFetch BufferPool::StartFetch(PageId page_id, LatchMode mode)
     OCB_NO_THREAD_SAFETY_ANALYSIS {
-  MaybeWaitForQuiesce();
+  AdmitPin();
   Stripe& stripe = stripe_of(page_id);
   PendingFetch fetch;
   fetch.page_id_ = page_id;
@@ -218,8 +249,6 @@ PendingFetch BufferPool::StartFetch(PageId page_id, LatchMode mode)
       const size_t frame_index = it->second;
       Frame& frame = frames_[frame_index];
       frame.pin_count.fetch_add(1, std::memory_order_relaxed);
-      total_pins_.fetch_add(1, std::memory_order_acq_rel);
-      ++tls_pin_depth;
       frame.referenced = true;
       TouchLru(stripe, frame_index);
       fetch.pool_ = this;
@@ -230,6 +259,8 @@ PendingFetch BufferPool::StartFetch(PageId page_id, LatchMode mode)
     stats_.misses.fetch_add(1, std::memory_order_relaxed);
     auto claimed = ClaimFrame(stripe);
     if (!claimed.ok()) {
+      lock.unlock();
+      DropPinCount();
       fetch.issue_status_ = claimed.status();
       return fetch;
     }
@@ -243,11 +274,7 @@ PendingFetch BufferPool::StartFetch(PageId page_id, LatchMode mode)
     frame.dirty = false;
     frame.referenced = true;
     frame.pin_count.fetch_add(1, std::memory_order_relaxed);
-    total_pins_.fetch_add(1, std::memory_order_acq_rel);
-    ++tls_pin_depth;
-    stripe.page_table[page_id] = frame_index;
-    stripe.lru.push_front(frame_index);
-    frame.lru_pos = stripe.lru.begin();
+    InstallEntry(stripe, page_id, frame_index);
     fetch.pool_ = this;
     fetch.frame_index_ = frame_index;
     fetch.miss_ = true;
@@ -404,8 +431,7 @@ void BufferPool::UninstallFailedMiss(size_t frame_index, PageId page_id)
   Frame& frame = frames_[frame_index];
   {
     MutexLock lock(stripe.mu);
-    stripe.page_table.erase(page_id);
-    stripe.lru.erase(frame.lru_pos);
+    RetireEntry(stripe, frame_index);
     frame.page_id = kInvalidPageId;
     frame.referenced = false;
     stripe.free_frames.push_back(frame_index);
@@ -419,14 +445,18 @@ void BufferPool::UninstallFailedMiss(size_t frame_index, PageId page_id)
 // PageHandle), a cross-function hold TSA cannot follow.
 Result<PageHandle> BufferPool::NewPage(PageId* out_page_id)
     OCB_NO_THREAD_SAFETY_ANALYSIS {
-  MaybeWaitForQuiesce();
+  AdmitPin();
   const PageId page_id = disk_->AllocatePage();
   if (out_page_id != nullptr) *out_page_id = page_id;
   Stripe& stripe = stripe_of(page_id);
   LatchPageExclusive(stripe.mu);
   std::unique_lock<Mutex> lock(stripe.mu, std::adopt_lock);
   auto claimed = ClaimFrame(stripe);
-  if (!claimed.ok()) return claimed.status();
+  if (!claimed.ok()) {
+    lock.unlock();
+    DropPinCount();
+    return claimed.status();
+  }
   const size_t frame_index = claimed.value();
   Frame& frame = frames_[frame_index];
   if (frame.data == nullptr) {
@@ -439,11 +469,7 @@ Result<PageHandle> BufferPool::NewPage(PageId* out_page_id)
   frame.dirty = true;
   frame.referenced = true;
   frame.pin_count.fetch_add(1, std::memory_order_relaxed);
-  total_pins_.fetch_add(1, std::memory_order_acq_rel);
-  ++tls_pin_depth;
-  stripe.page_table[page_id] = frame_index;
-  stripe.lru.push_front(frame_index);
-  frame.lru_pos = stripe.lru.begin();
+  InstallEntry(stripe, page_id, frame_index);
   return PageHandle(this, frame_index, frame.data.get(), options_.page_size,
                     LatchMode::kExclusive);
 }
@@ -638,8 +664,7 @@ Status BufferPool::EvictFrame(Stripe& stripe, size_t frame_index) {
     stats_.dirty_writebacks.fetch_add(1, std::memory_order_relaxed);
   }
   stats_.evictions.fetch_add(1, std::memory_order_relaxed);
-  stripe.page_table.erase(frame.page_id);
-  stripe.lru.erase(frame.lru_pos);
+  RetireEntry(stripe, frame_index);
   frame.page_id = kInvalidPageId;
   frame.dirty = false;
   frame.referenced = false;
@@ -693,22 +718,44 @@ void BufferPool::Unpin(size_t frame_index, LatchMode mode,
   }
   assert(frame.pin_count.load(std::memory_order_relaxed) > 0);
   frame.pin_count.fetch_sub(1, std::memory_order_relaxed);
-  --tls_pin_depth;
-  // seq_cst pairs with BeginQuiesce (see there): the last unpinner must
-  // either see quiescing_ and notify, or the quiescer must see zero pins.
-  if (total_pins_.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
-      quiescing_.load(std::memory_order_seq_cst)) {
-    MutexLock lock(quiesce_mu_);
-    quiesce_cv_.notify_all();
-  }
+  DropPinCount();
 }
 
 void BufferPool::TouchLru(Stripe& stripe, size_t frame_index) {
   if (options_.replacement_policy == ReplacementPolicy::kFifo) return;
+  // splice relinks the node in place: lru_pos stays valid.
+  stripe.lru.splice(stripe.lru.begin(), stripe.lru,
+                    frames_[frame_index].lru_pos);
+}
+
+void BufferPool::InstallEntry(Stripe& stripe, PageId page_id,
+                              size_t frame_index) {
+  if (stripe.spare_entries.empty()) {
+    stripe.page_table.emplace(page_id, frame_index);
+  } else {
+    Stripe::PageTable::node_type entry =
+        std::move(stripe.spare_entries.back());
+    stripe.spare_entries.pop_back();
+    entry.key() = page_id;
+    entry.mapped() = frame_index;
+    stripe.page_table.insert(std::move(entry));
+  }
+  if (stripe.spare_lru.empty()) {
+    stripe.lru.push_front(frame_index);
+  } else {
+    stripe.spare_lru.front() = frame_index;
+    stripe.lru.splice(stripe.lru.begin(), stripe.spare_lru,
+                      stripe.spare_lru.begin());
+  }
+  frames_[frame_index].lru_pos = stripe.lru.begin();
+}
+
+void BufferPool::RetireEntry(Stripe& stripe, size_t frame_index) {
   Frame& frame = frames_[frame_index];
-  stripe.lru.erase(frame.lru_pos);
-  stripe.lru.push_front(frame_index);
-  frame.lru_pos = stripe.lru.begin();
+  Stripe::PageTable::node_type entry =
+      stripe.page_table.extract(frame.page_id);
+  if (!entry.empty()) stripe.spare_entries.push_back(std::move(entry));
+  stripe.spare_lru.splice(stripe.spare_lru.end(), stripe.lru, frame.lru_pos);
 }
 
 }  // namespace ocb

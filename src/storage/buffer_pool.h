@@ -35,8 +35,10 @@
 /// exclusive access to every page at once. BeginQuiesce() blocks new
 /// fetches from other threads (threads mid-operation, i.e. already holding
 /// a pin, are allowed to finish) and waits until every outstanding pin has
-/// drained; the owning thread then operates alone. Database::QuiesceGuard
-/// is the intended entry point.
+/// drained; the owning thread then operates alone. A fetch counts its pin
+/// before it checks the gate (and backs out if it is closed), so no frame
+/// is pinned once BeginQuiesce has returned. Database::QuiesceGuard is the
+/// intended entry point.
 ///
 /// Asynchronous I/O (issue/await): StartFetch() performs the table lookup
 /// and, on a miss, claims + installs the frame and *issues* the disk read
@@ -284,7 +286,9 @@ class BufferPool {
   /// seed-equivalent single-latch layout).
   size_t latch_stripes() const { return stripes_.size(); }
 
-  /// Sum of all outstanding pins (0 when no handle is live).
+  /// Sum of all outstanding pins, plus fetches counted at the quiesce
+  /// gate that have not pinned a frame yet (0 when no handle is live and
+  /// no fetch is in progress).
   uint64_t total_pins() const {
     return static_cast<uint64_t>(
         total_pins_.load(std::memory_order_acquire));
@@ -333,10 +337,19 @@ class BufferPool {
   struct Stripe {
     explicit Stripe(size_t index) : mu(lockdep::kBufferStripeClass, index) {}
 
+    using PageTable = std::unordered_map<PageId, size_t>;
+
     mutable Mutex mu;
-    std::unordered_map<PageId, size_t> page_table OCB_GUARDED_BY(mu);
+    PageTable page_table OCB_GUARDED_BY(mu);
     /// Front = most recent, back = victim.
     std::list<size_t> lru OCB_GUARDED_BY(mu);
+    /// Retired page-table and LRU nodes, parked by RetireEntry for the
+    /// next InstallEntry: a miss that evicts allocates and frees nothing
+    /// under the stripe mutex. spare_entries is reserved to the stripe's
+    /// frame count (no table ever holds more nodes), so parking never
+    /// grows it.
+    std::vector<PageTable::node_type> spare_entries OCB_GUARDED_BY(mu);
+    std::list<size_t> spare_lru OCB_GUARDED_BY(mu);
     std::vector<size_t> free_frames OCB_GUARDED_BY(mu);
     /// All frame indices of the stripe (fixed at construction).
     std::vector<size_t> owned_frames;
@@ -352,9 +365,18 @@ class BufferPool {
     return *stripes_[page_id % stripes_.size()];
   }
 
-  /// Waits while another thread holds the quiesce gate (no-op for the gate
-  /// owner and for threads that already hold pins).
-  void MaybeWaitForQuiesce();
+  /// The quiesce gate's entry side, called before a fetch pins anything.
+  /// Counts the pin first (total_pins_ and the thread's pin depth) and
+  /// only then checks the gate, so a pin can never slip past a quiescer
+  /// that already saw zero pins. When the gate is closed and the caller is
+  /// neither its owner nor mid-operation (already holding a pin), backs
+  /// the count out, waits for the gate to open and retries. Every call is
+  /// paired with Unpin, or with DropPinCount when no frame gets pinned.
+  void AdmitPin();
+
+  /// Undoes one AdmitPin count (Unpin's tail): the last pin to drain
+  /// wakes a waiting quiescer.
+  void DropPinCount();
 
   /// Claims a frame of \p stripe for a new resident page and returns it
   /// with its latch held exclusively, evicting a victim if needed (victim
@@ -392,6 +414,17 @@ class BufferPool {
   void Unpin(size_t frame_index, LatchMode mode,
              bool latch_already_released = false);
   void TouchLru(Stripe& stripe, size_t frame_index)
+      OCB_REQUIRES(stripe.mu);
+
+  /// Makes \p frame_index the resident frame of \p page_id: a page-table
+  /// entry and the most-recent LRU position, both reusing parked nodes
+  /// when the stripe has any. Requires \p stripe.mu.
+  void InstallEntry(Stripe& stripe, PageId page_id, size_t frame_index)
+      OCB_REQUIRES(stripe.mu);
+
+  /// Removes resident \p frame_index's page-table entry and LRU node and
+  /// parks both for the next InstallEntry. Requires \p stripe.mu.
+  void RetireEntry(Stripe& stripe, size_t frame_index)
       OCB_REQUIRES(stripe.mu);
 
   DiskSim* disk_;

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstring>
 #include <thread>
+#include <utility>
 
 #include "obs/metrics_registry.h"
 #include "storage/io_backend.h"
@@ -44,10 +45,19 @@ IoTicket::~IoTicket() {
   if (req_ != nullptr) DiskSim::WaitDone(req_.get());
 }
 
+IoTicket::IoTicket(IoTicket&& other) noexcept
+    : req_(std::move(other.req_)),
+      completed_(std::exchange(other.completed_, false)),
+      status_(std::move(other.status_)),
+      complete_sim_nanos_(other.complete_sim_nanos_) {}
+
 IoTicket& IoTicket::operator=(IoTicket&& other) noexcept {
   if (this != &other) {
     if (req_ != nullptr) DiskSim::WaitDone(req_.get());
     req_ = std::move(other.req_);
+    completed_ = std::exchange(other.completed_, false);
+    status_ = std::move(other.status_);
+    complete_sim_nanos_ = other.complete_sim_nanos_;
   }
   return *this;
 }
@@ -85,25 +95,19 @@ PageId DiskSim::AllocatePage() {
   return static_cast<PageId>(pages_.size() - 1);
 }
 
-// TSA-exempt: the freshly built request is thread-private until Dispatch,
-// so its done/status fields are written without its mutex.
-std::unique_ptr<IoRequest> DiskSim::PrepareRequest(
-    IoRequest::Kind kind, PageId page_id) OCB_NO_THREAD_SAFETY_ANALYSIS {
-  auto req = std::make_unique<IoRequest>();
-  req->kind = kind;
-  req->disk = this;
-  req->page_id = page_id;
+DiskSim::Issued DiskSim::Issue(IoRequest::Kind kind, PageId page_id) {
+  Issued issued;
   {
     ReaderMutexLock lock(pages_mu_);
     if (page_id >= pages_.size()) {
-      req->done = true;
-      req->status = Status::IOError(
+      issued.status = Status::IOError(
           Format(kind == IoRequest::Kind::kRead
                      ? "read of unallocated page %u"
                      : "write of unallocated page %u",
                  page_id));
-      return req;
+      return issued;
     }
+    issued.page = pages_[page_id].get();
   }
   // Accounting happens at issue, on the caller's thread: the counter
   // increment and the simulated completion instant depend only on the
@@ -111,66 +115,54 @@ std::unique_ptr<IoRequest> DiskSim::PrepareRequest(
   // runs stay bit-deterministic.
   if (kind == IoRequest::Kind::kRead) {
     ++counters_[static_cast<size_t>(scope())].reads;
-    req->latency_nanos = options_.read_latency_nanos;
+    issued.latency_nanos = options_.read_latency_nanos;
   } else {
     ++counters_[static_cast<size_t>(scope())].writes;
-    req->latency_nanos = options_.write_latency_nanos;
+    issued.latency_nanos = options_.write_latency_nanos;
   }
-  serial_io_nanos_.fetch_add(req->latency_nanos, std::memory_order_relaxed);
+  serial_io_nanos_.fetch_add(issued.latency_nanos, std::memory_order_relaxed);
   if (clock_ != nullptr) {
-    req->complete_sim_nanos = clock_->now_nanos() + req->latency_nanos;
+    issued.complete_sim_nanos = clock_->now_nanos() + issued.latency_nanos;
   }
-  return req;
+  return issued;
+}
+
+Status DiskSim::Transfer(IoRequest::Kind kind, PageId page_id, uint8_t* page,
+                         uint64_t latency_nanos, uint8_t* out,
+                         const uint8_t* in) {
+  if (options_.wall_clock_io && latency_nanos > 0) {
+    std::this_thread::sleep_for(std::chrono::nanoseconds(latency_nanos));
+  }
+  if (kind == IoRequest::Kind::kRead) {
+    std::memcpy(out, page, options_.page_size);
+    return Status::OK();
+  }
+  std::memcpy(page, in, options_.page_size);
+  if (backing_ != nullptr) {
+    MutexLock file_lock(backing_mu_);
+    const long offset =
+        static_cast<long>(page_id) * static_cast<long>(options_.page_size);
+    if (std::fseek(backing_, offset, SEEK_SET) != 0 ||
+        std::fwrite(in, 1, options_.page_size, backing_) !=
+            options_.page_size) {
+      return Status::IOError(Format(
+          "write-through to backing file failed for page %u", page_id));
+    }
+  }
+  return Status::OK();
 }
 
 void DiskSim::ExecuteRequest(IoRequest* request) {
-  DiskSim* disk = request->disk;
-  Status status = Status::OK();
-  if (disk->options_.wall_clock_io && request->latency_nanos > 0) {
-    std::this_thread::sleep_for(
-        std::chrono::nanoseconds(request->latency_nanos));
-  }
-  if (request->kind == IoRequest::Kind::kRead) {
-    ReaderMutexLock lock(disk->pages_mu_);
-    std::memcpy(request->out, disk->pages_[request->page_id].get(),
-                disk->options_.page_size);
-  } else {
-    const uint8_t* src = request->payload.get();
-    {
-      ReaderMutexLock lock(disk->pages_mu_);
-      std::memcpy(disk->pages_[request->page_id].get(), src,
-                  disk->options_.page_size);
-    }
-    if (disk->backing_ != nullptr) {
-      MutexLock file_lock(disk->backing_mu_);
-      const long offset = static_cast<long>(request->page_id) *
-                          static_cast<long>(disk->options_.page_size);
-      if (std::fseek(disk->backing_, offset, SEEK_SET) != 0 ||
-          std::fwrite(src, 1, disk->options_.page_size, disk->backing_) !=
-              disk->options_.page_size) {
-        status = Status::IOError(
-            Format("write-through to backing file failed for page %u",
-                   request->page_id));
-      }
-    }
-  }
-  {
-    MutexLock lock(request->mu);
-    request->status = status;
-    request->done = true;
-    // Notify while still holding the mutex: the moment `done` is visible,
-    // the awaiting thread may destroy the request, so the broadcast must
-    // complete before the waiter can re-acquire the lock and return.
-    request->cv.notify_all();
-  }
-}
-
-void DiskSim::Dispatch(IoRequest* request) {
-  if (backend_ != nullptr) {
-    backend_->Submit(request);
-  } else {
-    ExecuteRequest(request);
-  }
+  const Status status = request->disk->Transfer(
+      request->kind, request->page_id, request->page,
+      request->latency_nanos, request->out, request->payload.get());
+  MutexLock lock(request->mu);
+  request->status = status;
+  request->done = true;
+  // Notify while still holding the mutex: the moment `done` is visible,
+  // the awaiting thread may destroy the request, so the broadcast must
+  // complete before the waiter can re-acquire the lock and return.
+  request->cv.notify_all();
 }
 
 // TSA-exempt: cv wait relocks through the unique_lock.
@@ -179,94 +171,103 @@ void DiskSim::WaitDone(IoRequest* request) OCB_NO_THREAD_SAFETY_ANALYSIS {
   request->cv.wait(lock, [&] { return request->done; });
 }
 
-IoTicket DiskSim::StartRead(PageId page_id, uint8_t* out) {
-  auto req = PrepareRequest(IoRequest::Kind::kRead, page_id);
-  if (!req->done) {
-    req->out = out;
-    Dispatch(req.get());
+IoTicket DiskSim::RunInline(IoRequest::Kind kind, PageId page_id,
+                            uint8_t* out, const uint8_t* in) {
+  Issued issued = Issue(kind, page_id);
+  if (issued.status.ok()) {
+    issued.status = Transfer(kind, page_id, issued.page,
+                             issued.latency_nanos, out, in);
   }
-  return IoTicket(std::move(req));
+  return IoTicket(std::move(issued.status), issued.complete_sim_nanos);
+}
+
+// TSA-exempt: the freshly built request is thread-private until Submit,
+// so it is filled in without its mutex.
+IoTicket DiskSim::Start(IoRequest::Kind kind, PageId page_id, uint8_t* out,
+                        std::unique_ptr<uint8_t[]> payload)
+    OCB_NO_THREAD_SAFETY_ANALYSIS {
+  // Inline completion: the request runs here, on the caller, and the
+  // ticket carries its result by value — no request object, no mutex.
+  if (backend_ == nullptr) return RunInline(kind, page_id, out, payload.get());
+  Issued issued = Issue(kind, page_id);
+  if (!issued.status.ok()) {
+    return IoTicket(std::move(issued.status), issued.complete_sim_nanos);
+  }
+  auto req = std::make_unique<IoRequest>();
+  req->kind = kind;
+  req->disk = this;
+  req->page_id = page_id;
+  req->page = issued.page;
+  req->out = out;
+  req->payload = std::move(payload);
+  req->latency_nanos = issued.latency_nanos;
+  backend_->Submit(req.get());
+  return IoTicket(std::move(req), issued.complete_sim_nanos);
+}
+
+IoTicket DiskSim::StartRead(PageId page_id, uint8_t* out) {
+  return Start(IoRequest::Kind::kRead, page_id, out, nullptr);
 }
 
 IoTicket DiskSim::StartWrite(PageId page_id,
                              std::unique_ptr<uint8_t[]> data) {
-  auto req = PrepareRequest(IoRequest::Kind::kWrite, page_id);
-  if (!req->done) {
-    req->payload = std::move(data);
-    Dispatch(req.get());
-  }
-  return IoTicket(std::move(req));
+  return Start(IoRequest::Kind::kWrite, page_id, nullptr, std::move(data));
 }
 
-// TSA-exempt: cv wait relocks through the unique_lock.
+// TSA-exempt: cv wait relocks through the unique_lock; the request's
+// status is read after `done` was observed under its mutex.
 Status DiskSim::Await(IoTicket& ticket) OCB_NO_THREAD_SAFETY_ANALYSIS {
   if (!ticket.valid()) {
     return Status::InvalidArgument("await of an empty io ticket");
   }
-  std::unique_ptr<IoRequest> req = std::move(ticket.req_);
-  // Resolve before locking: the first lookup takes the registry mutex,
-  // which ranks above io.request in the lock hierarchy.
-  obs::LatencyHistogram* histo = IoWaitHistogram();
-  {
-    std::unique_lock<Mutex> lock(req->mu);
-    if (!req->done) {
-      const auto start = std::chrono::steady_clock::now();
-      req->cv.wait(lock, [&] { return req->done; });
+  Status status;
+  if (ticket.completed_) {
+    ticket.completed_ = false;
+    status = std::move(ticket.status_);
+  } else {
+    std::unique_ptr<IoRequest> req = std::move(ticket.req_);
+    // Resolve before locking: the first lookup takes the registry mutex,
+    // which ranks above io.request in the lock hierarchy.
+    obs::LatencyHistogram* histo = IoWaitHistogram();
+    {
+      std::unique_lock<Mutex> lock(req->mu);
+      if (!req->done) {
+        const auto start = std::chrono::steady_clock::now();
+        req->cv.wait(lock, [&] { return req->done; });
 #ifndef OCB_OBS_DISABLED
-      if (histo != nullptr) {
-        histo->Record(static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count()));
-      }
+        if (histo != nullptr) {
+          histo->Record(static_cast<uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  std::chrono::steady_clock::now() - start)
+                  .count()));
+        }
 #else
-      (void)start;
-      (void)histo;
+        (void)start;
+        (void)histo;
 #endif
+      }
     }
+    status = std::move(req->status);
   }
-  if (req->status.ok() && clock_ != nullptr &&
-      req->complete_sim_nanos != 0) {
-    charged_io_nanos_.fetch_add(clock_->AdvanceTo(req->complete_sim_nanos),
+  if (status.ok() && clock_ != nullptr && ticket.complete_sim_nanos_ != 0) {
+    charged_io_nanos_.fetch_add(clock_->AdvanceTo(ticket.complete_sim_nanos_),
                                 std::memory_order_relaxed);
   }
-  return req->status;
+  return status;
 }
 
 Status DiskSim::ReadPage(PageId page_id, uint8_t* out) {
-  auto req = PrepareRequest(IoRequest::Kind::kRead, page_id);
-  if (!req->done) {
-    // Blocking wrapper: execute inline on the caller — semantically
-    // Await(StartRead(...)) minus the queue hop. In wall_clock_io mode
-    // the injected sleep lands on this thread, which is exactly the
-    // blocking baseline's cost model.
-    req->out = out;
-    ExecuteRequest(req.get());
-  }
-  if (req->status.ok() && clock_ != nullptr &&
-      req->complete_sim_nanos != 0) {
-    charged_io_nanos_.fetch_add(clock_->AdvanceTo(req->complete_sim_nanos),
-                                std::memory_order_relaxed);
-  }
-  return req->status;
+  // Blocking wrapper: runs inline on the caller even when I/O workers
+  // exist. In wall_clock_io mode the injected sleep lands on this thread,
+  // which is exactly the blocking baseline's cost model.
+  IoTicket ticket = RunInline(IoRequest::Kind::kRead, page_id, out, nullptr);
+  return Await(ticket);
 }
 
 Status DiskSim::WritePage(PageId page_id, const uint8_t* data) {
-  auto req = PrepareRequest(IoRequest::Kind::kWrite, page_id);
-  if (!req->done) {
-    // Blocking write: copy once so the inline executor can share the
-    // async code path (which owns its payload).
-    auto payload = std::make_unique<uint8_t[]>(options_.page_size);
-    std::memcpy(payload.get(), data, options_.page_size);
-    req->payload = std::move(payload);
-    ExecuteRequest(req.get());
-  }
-  if (req->status.ok() && clock_ != nullptr &&
-      req->complete_sim_nanos != 0) {
-    charged_io_nanos_.fetch_add(clock_->AdvanceTo(req->complete_sim_nanos),
-                                std::memory_order_relaxed);
-  }
-  return req->status;
+  IoTicket ticket =
+      RunInline(IoRequest::Kind::kWrite, page_id, nullptr, data);
+  return Await(ticket);
 }
 
 void DiskSim::LoadPageImage(PageId page_id, const uint8_t* data) {

@@ -68,26 +68,25 @@ struct IoCounters {
 class DiskSim;
 class IoBackend;
 
-/// \brief One in-flight asynchronous page I/O (internal to DiskSim).
+/// \brief One page I/O queued on an IoBackend worker (internal to DiskSim).
 ///
-/// Accounting (counter increment, simulated completion instant, overlap
-/// bookkeeping) happens at *submission* on the caller's thread, so metric
-/// deltas and simulated time stay deterministic regardless of worker
-/// scheduling; execution (the byte movement, plus the wall-clock sleep in
-/// wall_clock_io mode) happens wherever the request runs and is published
-/// to the awaiting thread through the (mu, cv, done) completion state.
+/// Only the worker path builds one. Accounting (counter increment,
+/// simulated completion instant, overlap bookkeeping) happens at
+/// *submission* on the caller's thread, so metric deltas and simulated
+/// time stay deterministic regardless of worker scheduling; the worker
+/// moves the bytes (plus the wall-clock sleep in wall_clock_io mode) and
+/// publishes the result to the awaiting thread through the (mu, cv, done)
+/// completion state. Inline completion (no backend) builds no request.
 struct IoRequest {
   enum class Kind : uint8_t { kRead, kWrite };
 
   Kind kind = Kind::kRead;
   DiskSim* disk = nullptr;
   PageId page_id = kInvalidPageId;
+  uint8_t* page = nullptr;             ///< The disk's page image.
   uint8_t* out = nullptr;              ///< Read destination (caller-owned).
   std::unique_ptr<uint8_t[]> payload;  ///< Write source (request-owned).
   uint64_t latency_nanos = 0;
-  /// Simulated instant this request completes (issue time + latency);
-  /// Await advances the SimClock to it. 0 when no clock is attached.
-  uint64_t complete_sim_nanos = 0;
 
   /// Completion state. The issue→await window spans threads and
   /// functions, so TSA cannot follow it; the mutex still registers with
@@ -98,29 +97,45 @@ struct IoRequest {
   Status status OCB_GUARDED_BY(mu);
 };
 
-/// \brief Move-only handle to a pending asynchronous I/O.
+/// \brief Move-only handle to an issued page I/O.
 ///
 /// Obtained from DiskSim::StartRead/StartWrite, resolved by
-/// DiskSim::Await. Destroying an unawaited ticket blocks until the request
-/// has executed (the worker writes through the request's buffers, so the
-/// ticket may never outrun it) and drops the result.
+/// DiskSim::Await. It comes in two shapes with one contract:
+///   * Inline: the disk has no I/O backend, or the request failed at
+///     issue. The I/O already ran on the issuing thread, and the ticket
+///     holds its status and simulated completion instant by value. There
+///     is no heap request and no completion mutex.
+///   * Queued: the ticket owns the IoRequest a worker executes.
+///     Destroying an unawaited queued ticket blocks until the request has
+///     executed (the worker writes through the request's buffers, so the
+///     ticket may never outrun it) and drops the result.
 class IoTicket {
  public:
   IoTicket() = default;
   ~IoTicket();
 
-  IoTicket(IoTicket&& other) noexcept = default;
+  IoTicket(IoTicket&& other) noexcept;
   IoTicket& operator=(IoTicket&& other) noexcept;
   IoTicket(const IoTicket&) = delete;
   IoTicket& operator=(const IoTicket&) = delete;
 
-  bool valid() const { return req_ != nullptr; }
+  /// False for default-constructed, moved-from and awaited tickets.
+  bool valid() const { return completed_ || req_ != nullptr; }
 
  private:
   friend class DiskSim;
-  explicit IoTicket(std::unique_ptr<IoRequest> req) : req_(std::move(req)) {}
+  IoTicket(Status status, uint64_t complete_sim_nanos)
+      : completed_(true), status_(std::move(status)),
+        complete_sim_nanos_(complete_sim_nanos) {}
+  IoTicket(std::unique_ptr<IoRequest> req, uint64_t complete_sim_nanos)
+      : req_(std::move(req)), complete_sim_nanos_(complete_sim_nanos) {}
 
-  std::unique_ptr<IoRequest> req_;
+  std::unique_ptr<IoRequest> req_;  ///< Queued: in flight on a worker.
+  bool completed_ = false;          ///< Inline: status_ is the result.
+  Status status_;
+  /// Simulated instant the I/O completes (issue time + latency); Await
+  /// advances the SimClock to it. 0 when no clock is attached.
+  uint64_t complete_sim_nanos_ = 0;
 };
 
 /// \brief In-memory page array with I/O accounting and simulated latency.
@@ -149,10 +164,11 @@ class DiskSim {
   PageId AllocatePage();
 
   /// Copies page \p page_id into \p out (page_size bytes). Counts one read.
-  /// Blocking: equivalent to Await(StartRead(...)) without the queue hop.
+  /// Blocking: runs on the caller, like an inline StartRead + Await.
   Status ReadPage(PageId page_id, uint8_t* out);
 
-  /// Overwrites page \p page_id from \p data. Counts one write. Blocking.
+  /// Overwrites page \p page_id from \p data. Counts one write. Blocking;
+  /// \p data is read in place, never copied to a staging buffer.
   Status WritePage(PageId page_id, const uint8_t* data);
 
   // --- Asynchronous issue/await path ---
@@ -169,8 +185,9 @@ class DiskSim {
 
   /// Blocks until \p ticket's request has executed, charges the request's
   /// simulated completion instant to the clock, records the wall wait in
-  /// the "io.wait" histogram, and returns the request's status. The
-  /// ticket becomes invalid.
+  /// the "io.wait" histogram (queued tickets that were not yet done), and
+  /// returns the request's status. The ticket becomes invalid; an invalid
+  /// ticket returns InvalidArgument.
   Status Await(IoTicket& ticket);
 
   /// True when submissions run on background workers (io_workers > 0 or a
@@ -236,13 +253,33 @@ class DiskSim {
  private:
   friend class IoTicket;
 
-  /// Builds a charged, ready-to-execute request, or an already-failed one
-  /// when \p page_id is unallocated. Accounting happens here.
-  std::unique_ptr<IoRequest> PrepareRequest(IoRequest::Kind kind,
-                                            PageId page_id);
+  /// What issuing fixes on the caller's thread, for every path.
+  struct Issued {
+    Status status;            ///< IOError when the page is unallocated.
+    uint8_t* page = nullptr;  ///< The page image (stable once allocated).
+    uint64_t latency_nanos = 0;
+    uint64_t complete_sim_nanos = 0;
+  };
 
-  /// Submits to the backend or executes inline when there is none.
-  void Dispatch(IoRequest* request);
+  /// Accounting: resolves the page image, counts the I/O in the current
+  /// scope, adds its latency to serial_io_nanos and stamps its simulated
+  /// completion instant. Charges nothing for an unallocated page.
+  Issued Issue(IoRequest::Kind kind, PageId page_id);
+
+  /// Moves one I/O's bytes on the calling thread, after the wall_clock_io
+  /// sleep: a read copies the page image into \p out, a write copies \p in
+  /// over it and writes it through to the backing file.
+  Status Transfer(IoRequest::Kind kind, PageId page_id, uint8_t* page,
+                  uint64_t latency_nanos, uint8_t* out, const uint8_t* in);
+
+  /// Issues and transfers on the caller: the inline-completion ticket.
+  IoTicket RunInline(IoRequest::Kind kind, PageId page_id, uint8_t* out,
+                     const uint8_t* in);
+
+  /// Queues a charged request on the backend, or runs it inline when
+  /// there is none (or it failed at issue).
+  IoTicket Start(IoRequest::Kind kind, PageId page_id, uint8_t* out,
+                 std::unique_ptr<uint8_t[]> payload);
 
   /// Await without histogram/clock bookkeeping — the abandoned-ticket
   /// path (charging still happens because accounting is submission-side,

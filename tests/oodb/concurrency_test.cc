@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -261,6 +262,84 @@ TEST(ConcurrencyTest, ReorganizeWhileReading) {
   db.SetObserver(nullptr);
   EXPECT_FALSE(failed);
   EXPECT_EQ(db.object_count(), oids.size());
+}
+
+// Counts callbacks, and flags any that starts once `detached` is set. The
+// test sets `detached` only after SetObserver(nullptr) has returned, and
+// clears it before the next SetObserver(&spy).
+class DetachSpy : public AccessObserver {
+ public:
+  void OnTransactionBegin() override { Note(); }
+  void OnTransactionEnd() override { Note(); }
+  void OnTransactionAbort() override { Note(); }
+  void OnObjectAccess(Oid) override { Note(); }
+  void OnLinkCross(Oid, Oid, RefTypeId, bool) override { Note(); }
+
+  std::atomic<bool> detached{true};
+  std::atomic<uint64_t> calls{0};
+  std::atomic<uint64_t> calls_after_detach{0};
+
+ private:
+  void Note() {
+    if (detached.load()) ++calls_after_detach;
+    ++calls;
+  }
+};
+
+TEST(ConcurrencyTest, ObserverDetachIsSynchronousUnderConcurrentReaders) {
+  // Readers skip observer_mu_ while no observer is attached; detaching
+  // must still be synchronous: once SetObserver(nullptr) returns, no
+  // callback of any reader may start.
+  Database db(TestOptions());
+  ASSERT_TRUE(GenerateDatabase(SmallDb(), &db).ok());
+  const std::vector<Oid> oids = db.object_store()->LiveOids();
+
+  DetachSpy spy;
+  std::atomic<bool> stop{false};
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    const TxnMode mode = t % 2 == 0 ? TxnMode::kSnapshotRead : TxnMode::k2PL;
+    readers.emplace_back([&, t, mode]() {
+      auto session = db.OpenSession();
+      LewisPayneRng rng(static_cast<uint64_t>(t) + 31);
+      TraversePolicy policy;
+      while (!stop && !failed) {
+        auto txn = session.Begin(mode);
+        const Oid oid = oids[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(oids.size()) - 1))];
+        auto root = txn.Get(oid);
+        if (!root.ok()) {
+          failed = true;
+          return;
+        }
+        if (!txn.Traverse(*root, 3, policy).ok() || !txn.Commit().ok()) {
+          failed = true;
+          return;
+        }
+      }
+    });
+  }
+  for (int round = 0; round < 500 && !failed; ++round) {
+    spy.detached = false;
+    db.SetObserver(&spy);
+    const uint64_t before = spy.calls.load();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (spy.calls.load() == before &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    db.SetObserver(nullptr);
+    spy.detached = true;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  stop = true;
+  for (auto& t : readers) t.join();
+  EXPECT_FALSE(failed);
+  EXPECT_GT(spy.calls.load(), 0u) << "the attached spy saw no callback";
+  EXPECT_EQ(spy.calls_after_detach.load(), 0u)
+      << "a callback ran after SetObserver(nullptr) returned";
 }
 
 }  // namespace

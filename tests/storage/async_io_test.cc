@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -168,6 +169,137 @@ TEST(DiskSimAsyncTest, WallClockBatchOverlapsRealTime) {
                            .count();
   EXPECT_GE(elapsed, 18);  // At least one device latency really passed.
   EXPECT_LT(elapsed, 60);  // Serial would be >= 80 ms; generous CI margin.
+}
+
+// Everything DiskSim's accounting exposes after one issue/await sequence.
+struct IoOutcome {
+  std::vector<uint64_t> counters;  // reads, writes of every scope in turn.
+  uint64_t serial_io_nanos = 0;
+  uint64_t charged_io_nanos = 0;
+  uint64_t clock_nanos = 0;
+  std::vector<uint8_t> bytes_read;
+};
+
+// A fixed mix: an overlapped write batch in the generation scope, then in
+// the transaction scope an overlapped read batch, a dependent read, the
+// blocking wrappers and a read that fails at issue.
+IoOutcome RunIoSequence(size_t io_workers) {
+  StorageOptions opts = AsyncOptions(4, io_workers);
+  opts.read_latency_nanos = 1'000'000;
+  opts.write_latency_nanos = 3'000'000;
+  SimClock clock;
+  DiskSim disk(opts, &clock);
+  EXPECT_EQ(disk.async_enabled(), io_workers > 0);
+  std::vector<PageId> ids;
+  for (int i = 0; i < 4; ++i) ids.push_back(disk.AllocatePage());
+
+  std::vector<IoTicket> tickets;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    auto image = std::make_unique<uint8_t[]>(opts.page_size);
+    std::memset(image.get(), static_cast<int>(i + 1), opts.page_size);
+    tickets.push_back(disk.StartWrite(ids[i], std::move(image)));
+  }
+  for (IoTicket& t : tickets) EXPECT_TRUE(disk.Await(t).ok());
+
+  disk.set_scope(IoScope::kTransaction);
+  IoOutcome outcome;
+  outcome.bytes_read.resize((ids.size() + 1) * opts.page_size);
+  tickets.clear();
+  for (size_t i = 0; i < ids.size(); ++i) {
+    tickets.push_back(
+        disk.StartRead(ids[i], &outcome.bytes_read[i * opts.page_size]));
+  }
+  for (IoTicket& t : tickets) EXPECT_TRUE(disk.Await(t).ok());
+  std::vector<uint8_t> page(opts.page_size);
+  IoTicket dependent = disk.StartRead(ids[0], page.data());
+  EXPECT_TRUE(disk.Await(dependent).ok());
+  EXPECT_TRUE(disk.WritePage(ids[1], page.data()).ok());
+  EXPECT_TRUE(disk.ReadPage(
+      ids[1], &outcome.bytes_read[ids.size() * opts.page_size]).ok());
+  IoTicket missing = disk.StartRead(/*page_id=*/99, page.data());
+  EXPECT_TRUE(disk.Await(missing).IsIOError());
+
+  for (size_t s = 0; s < static_cast<size_t>(IoScope::kNumScopes); ++s) {
+    const IoCounters& c = disk.counters(static_cast<IoScope>(s));
+    outcome.counters.push_back(c.reads);
+    outcome.counters.push_back(c.writes);
+  }
+  outcome.serial_io_nanos = disk.serial_io_nanos();
+  outcome.charged_io_nanos = disk.charged_io_nanos();
+  outcome.clock_nanos = clock.now_nanos();
+  return outcome;
+}
+
+// Inline completion (no I/O workers) builds no request object, but it must
+// charge exactly what the worker path charges: accounting is issue-side.
+TEST(DiskSimAsyncTest, InlineAndWorkerCompletionAccountIdentically) {
+  const IoOutcome inline_io = RunIoSequence(0);
+  const IoOutcome worker_io = RunIoSequence(2);
+  EXPECT_EQ(inline_io.counters, worker_io.counters);
+  EXPECT_EQ(inline_io.serial_io_nanos, worker_io.serial_io_nanos);
+  EXPECT_EQ(inline_io.charged_io_nanos, worker_io.charged_io_nanos);
+  EXPECT_EQ(inline_io.clock_nanos, worker_io.clock_nanos);
+  EXPECT_EQ(inline_io.bytes_read, worker_io.bytes_read);
+
+  // And both are the right numbers: 4 generation writes; 6 transaction
+  // reads and 1 write (the failed read charges nothing).
+  const std::vector<uint64_t> expected = {0, 4, 6, 1, 0, 0};
+  EXPECT_EQ(inline_io.counters, expected);
+  EXPECT_EQ(inline_io.serial_io_nanos, 21'000'000u);  // 4×3 + 6×1 + 3 ms.
+  // Write batch 3 ms, read batch 1 ms, then 1 + 3 + 1 ms serially.
+  EXPECT_EQ(inline_io.clock_nanos, 9'000'000u);
+  EXPECT_EQ(inline_io.charged_io_nanos, inline_io.clock_nanos);
+  EXPECT_EQ(inline_io.bytes_read[0], 1);
+  EXPECT_EQ(inline_io.bytes_read.back(), 1);  // Page 0's image, rewritten.
+}
+
+TEST(DiskSimAsyncTest, InlineTicketIsConsumedByMoveAndAwait) {
+  StorageOptions opts = AsyncOptions(4, 0);
+  DiskSim disk(opts);
+  ASSERT_FALSE(disk.async_enabled());
+  const PageId id = disk.AllocatePage();
+  std::vector<uint8_t> out(opts.page_size);
+
+  IoTicket first = disk.StartRead(id, out.data());
+  ASSERT_TRUE(first.valid());
+  IoTicket second = std::move(first);
+  EXPECT_FALSE(first.valid());
+  EXPECT_TRUE(disk.Await(first).IsInvalidArgument());
+  EXPECT_TRUE(disk.Await(second).ok());
+  EXPECT_FALSE(second.valid());
+  EXPECT_TRUE(disk.Await(second).IsInvalidArgument());
+
+  IoTicket third = disk.StartRead(id, out.data());
+  second = std::move(third);
+  EXPECT_FALSE(third.valid());
+  EXPECT_TRUE(disk.Await(third).IsInvalidArgument());
+  EXPECT_TRUE(disk.Await(second).ok());
+  EXPECT_EQ(disk.TotalCounters().reads, 2u);
+}
+
+TEST(DiskSimAsyncTest, InlineErrorsSurfaceFromAwait) {
+  StorageOptions opts = AsyncOptions(4, 0);
+  // Every write to /dev/full fails with ENOSPC; a page this large reaches
+  // the device inside fwrite instead of sitting in the stdio buffer.
+  opts.page_size = 1 << 16;
+  opts.backing_file = "/dev/full";
+  SimClock clock;
+  DiskSim disk(opts, &clock);
+  std::vector<uint8_t> page(opts.page_size, 0x5A);
+
+  IoTicket unallocated = disk.StartRead(/*page_id=*/7, page.data());
+  ASSERT_TRUE(unallocated.valid());
+  EXPECT_TRUE(disk.Await(unallocated).IsIOError());
+
+  const PageId id = disk.AllocatePage();
+  IoTicket write = disk.StartWrite(
+      id, std::make_unique<uint8_t[]>(opts.page_size));
+  ASSERT_TRUE(write.valid());
+  EXPECT_TRUE(disk.Await(write).IsIOError());
+  EXPECT_TRUE(disk.WritePage(id, page.data()).IsIOError());
+  // A failed I/O never advances the clock.
+  EXPECT_EQ(clock.now_nanos(), 0u);
+  EXPECT_EQ(disk.charged_io_nanos(), 0u);
 }
 
 // --- BufferPool issue/await ----------------------------------------------

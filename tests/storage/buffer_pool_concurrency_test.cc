@@ -266,5 +266,44 @@ TEST(BufferPoolConcurrencyTest, QuiesceDrainsPinsAndParksNewFetches) {
   parked.join();
 }
 
+// The gate's entry side: a fetch that passed the "is anyone quiescing"
+// check before BeginQuiesce but pinned after it had seen zero pins would
+// hold a frame inside the quiesced section. Fetches count their pin
+// before checking the gate, so no round may ever observe a pinned frame.
+TEST(BufferPoolConcurrencyTest, QuiesceIsNeverEnteredWithAPinnedFrame) {
+  const StorageOptions opts = PoolOptions(64, 0);
+  DiskSim disk(opts);
+  BufferPool pool(&disk, opts);
+  std::vector<PageId> pages;
+  for (int i = 0; i < 256; ++i) pages.push_back(disk.AllocatePage());
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> fetchers;
+  for (size_t t = 0; t < 3; ++t) {
+    fetchers.emplace_back([&, t]() {
+      size_t i = t * 85;
+      while (!stop.load(std::memory_order_relaxed)) {
+        auto handle =
+            pool.FetchPage(pages[i++ % pages.size()], LatchMode::kShared);
+        ASSERT_TRUE(handle.ok());
+      }
+    });
+  }
+  int rounds_with_pins = 0;
+  for (int round = 0; round < 20000; ++round) {
+    pool.BeginQuiesce();
+    bool pinned = false;
+    for (int probe = 0; probe < 200 && !pinned; ++probe) {
+      pinned = pool.pinned_frames() != 0;
+    }
+    if (pinned) ++rounds_with_pins;
+    pool.EndQuiesce();
+  }
+  stop = true;
+  for (auto& t : fetchers) t.join();
+  EXPECT_EQ(rounds_with_pins, 0)
+      << "a fetch pinned a frame inside a quiesced section";
+}
+
 }  // namespace
 }  // namespace ocb
