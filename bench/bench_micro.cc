@@ -1,13 +1,14 @@
 /// \file bench_micro.cc
 /// \brief Ext-7: google-benchmark microbenchmarks of the substrate hot
 ///        paths — RNG draws, distribution sampling, page operations,
-///        buffer-pool hits and misses, inline disk reads, object codec,
-///        and generator throughput.
+///        buffer-pool hits and misses, inline disk reads, uncontended
+///        lock acquire/release, object codec, and generator throughput.
 
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "concurrency/lock_manager.h"
 #include "oodb/database.h"
 #include "ocb/generator.h"
 #include "storage/buffer_pool.h"
@@ -111,6 +112,23 @@ void BM_DiskSimReadPage(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DiskSimReadPage);
+
+// The lock-manager floor: one transaction X-locks N distinct objects with
+// no other transaction in the table, then releases them all at once.
+void BM_LockAcquireRelease(benchmark::State& state) {
+  const auto n = static_cast<Oid>(state.range(0));
+  LockManager lm;
+  TransactionContext txn(1);
+  for (auto _ : state) {
+    for (Oid oid = 1; oid <= n; ++oid) {
+      benchmark::DoNotOptimize(lm.Acquire(&txn, oid, LockMode::kExclusive));
+    }
+    lm.ReleaseAll(&txn);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_LockAcquireRelease)->Arg(1)->Arg(16);
 
 void BM_ObjectCodecRoundTrip(benchmark::State& state) {
   Object obj;

@@ -514,7 +514,7 @@ int main() {
     }
     std::printf(
         "per-transaction tails (CLIENTN=8 rows, median run — sums above "
-        "hide what victim policies and 2PC actually cost per txn):\n");
+        "hide what lock conflicts and 2PC actually cost per txn):\n");
     for (const std::string& line : tail_lines) {
       std::printf("%s\n", line.c_str());
     }

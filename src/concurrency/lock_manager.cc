@@ -26,7 +26,8 @@ uint64_t ElapsedNanos(std::chrono::steady_clock::time_point since) {
 
 }  // namespace
 
-LockManager::LockManager(LockManagerOptions options) : options_(options) {
+LockManager::LockManager(uint64_t wait_timeout_nanos)
+    : wait_timeout_nanos_(wait_timeout_nanos) {
 #ifndef OCB_OBS_DISABLED
   // Resolved here, where no lock is held. GetHistogram takes the registry
   // mutex and the registry's gauge callbacks take mu_ (via stats()), so a
@@ -48,9 +49,6 @@ void LockManager::TryGrantQueue(LockQueue* queue) {
   bool granted_any = false;
   for (auto it = queue->requests.begin(); it != queue->requests.end(); ++it) {
     if (it->granted) continue;
-    // A victim-marked waiter is about to wake and erase itself; never
-    // grant it, and let later waiters be considered past it.
-    if (it->victim) continue;
     bool grantable = true;
     if (it->upgrade) {
       // An upgrade is grantable only when its own S is the sole granted
@@ -110,80 +108,25 @@ std::vector<TxnId> LockManager::DirectBlockers(TxnId txn, Oid oid) const {
   return out;
 }
 
-bool LockManager::HasVictimWait(TxnId txn) const {
-  auto wit = waiting_on_.find(txn);
-  if (wit == waiting_on_.end()) return false;
-  auto qit = table_.find(wit->second);
-  if (qit == table_.end()) return false;
-  for (const Request& r : qit->second->requests) {
-    if (r.txn == txn && !r.granted) return r.victim;
-  }
-  return false;
-}
-
 bool LockManager::CycleFrom(TxnId node, TxnId waiter, Oid waiter_oid,
-                            std::unordered_set<TxnId>* visited,
-                            std::vector<TxnId>* path) const {
+                            std::unordered_set<TxnId>* visited) const {
   Oid oid = waiter_oid;
   if (node != waiter) {
     auto wit = waiting_on_.find(node);
     if (wit == waiting_on_.end()) return false;  // Running, not blocked.
-    // A victim-marked waiter is as good as awake-and-aborting: its wait
-    // no longer sustains a cycle (and treating it as edge-less is what
-    // lets the kYoungest loop below re-search for *further* cycles
-    // without re-finding the one it just broke).
-    if (HasVictimWait(node)) return false;
     oid = wit->second;
   }
   for (TxnId blocker : DirectBlockers(node, oid)) {
     if (blocker == waiter) return true;  // Cycle closes back at the waiter.
     if (!visited->insert(blocker).second) continue;
-    path->push_back(blocker);
-    if (CycleFrom(blocker, waiter, waiter_oid, visited, path)) return true;
-    path->pop_back();
+    if (CycleFrom(blocker, waiter, waiter_oid, visited)) return true;
   }
   return false;
 }
 
-bool LockManager::WouldDeadlock(TxnId waiter, Oid oid, LockMode mode,
-                                std::vector<TxnId>* cycle) const {
-  (void)mode;  // The waiter's own queued request carries the mode.
+bool LockManager::WouldDeadlock(TxnId waiter, Oid oid) const {
   std::unordered_set<TxnId> visited;
-  std::vector<TxnId> path;
-  if (!CycleFrom(waiter, waiter, oid, &visited, &path)) return false;
-  if (cycle != nullptr) {
-    cycle->push_back(waiter);
-    cycle->insert(cycle->end(), path.begin(), path.end());
-  }
-  return true;
-}
-
-bool LockManager::MarkWaiterVictim(TxnId victim) {
-  auto wit = waiting_on_.find(victim);
-  if (wit == waiting_on_.end()) return false;
-  auto qit = table_.find(wit->second);
-  if (qit == table_.end()) return false;
-  LockQueue* queue = qit->second.get();
-  for (Request& r : queue->requests) {
-    if (r.txn == victim && !r.granted) {
-      r.victim = true;
-      queue->cv.notify_all();
-      ++stats_.victim_wakeups;
-      return true;
-    }
-  }
-  return false;
-}
-
-void LockManager::WoundYoungerBlockers(TxnId txn, Oid oid) {
-  for (TxnId blocker : DirectBlockers(txn, oid)) {
-    if (blocker <= txn) continue;  // Older (or self): wait behind it.
-    ++stats_.wounds;
-    if (!MarkWaiterVictim(blocker)) {
-      // Running, not blocked here: it dies at its next Acquire.
-      wounded_.insert(blocker);
-    }
-  }
+  return CycleFrom(waiter, waiter, oid, &visited);
 }
 
 // TSA-exempt: the cv wait_until unlocks and relocks mu_ mid-function
@@ -192,14 +135,6 @@ void LockManager::WoundYoungerBlockers(TxnId txn, Oid oid) {
 Status LockManager::Acquire(TransactionContext* txn, Oid oid,
                             LockMode mode) OCB_NO_THREAD_SAFETY_ANALYSIS {
   std::unique_lock<Mutex> lock(mu_);
-  if (options_.victim_policy == DeadlockPolicy::kWoundWait &&
-      wounded_.erase(txn->id()) > 0) {
-    // An older transaction wounded us while we were running; honor the
-    // wound at this, our next lock request.
-    return Status::Aborted(
-        Format("txn %llu wounded by an older transaction (wound-wait)",
-               (unsigned long long)txn->id()));
-  }
   if (txn->HoldsLock(oid, mode)) {
     ++stats_.acquisitions;
     return Status::OK();
@@ -228,34 +163,11 @@ Status LockManager::Acquire(TransactionContext* txn, Oid oid,
 
   if (!mine->granted) {
     ++stats_.waits;
-    // Local deadlock handling per the victim policy (exact within this
-    // manager), then — in a sharded deployment — register the
-    // direct-blocker edges in the global graph, which refuses waits that
-    // close a cycle *across* managers (newcomer-victim policy there,
-    // regardless of the local one).
-    bool deadlock = false;
-    if (options_.victim_policy == DeadlockPolicy::kWoundWait) {
-      // No cycle search: wound younger conflicting blockers and wait.
-      WoundYoungerBlockers(txn->id(), oid);
-    } else {
-      // Our wait may close SEVERAL cycles (one per independent blocker
-      // chain); under kYoungest each is broken in turn — a marked
-      // victim stops carrying wait-for edges, so the re-search finds
-      // the next cycle, not the same one.
-      std::vector<TxnId> cycle;
-      while (WouldDeadlock(txn->id(), oid, mode, &cycle)) {
-        if (options_.victim_policy == DeadlockPolicy::kYoungest) {
-          const TxnId youngest =
-              *std::max_element(cycle.begin(), cycle.end());
-          if (youngest != txn->id() && MarkWaiterVictim(youngest)) {
-            cycle.clear();
-            continue;  // That cycle dies with its youngest member.
-          }
-        }
-        deadlock = true;  // kCycleCloser, or we are the youngest.
-        break;
-      }
-    }
+    // Refuse a wait that closes a cycle within this manager, then — in a
+    // sharded deployment — register the direct-blocker edges in the
+    // global graph, which refuses waits that close a cycle *across*
+    // managers. Either way the requester is the one victim.
+    bool deadlock = WouldDeadlock(txn->id(), oid);
     bool registered = false;
     if (!deadlock && wait_graph_ != nullptr) {
       registered = wait_graph_->TryRegisterWaits(
@@ -273,10 +185,9 @@ Status LockManager::Acquire(TransactionContext* txn, Oid oid,
     waiting_on_[txn->id()] = oid;
     const auto wait_start = std::chrono::steady_clock::now();
     const auto deadline =
-        wait_start + std::chrono::nanoseconds(options_.wait_timeout_nanos);
-    bool woke = queue->cv.wait_until(lock, deadline, [&mine]() {
-      return mine->granted || mine->victim;
-    });
+        wait_start + std::chrono::nanoseconds(wait_timeout_nanos_);
+    bool woke = queue->cv.wait_until(lock, deadline,
+                                     [&mine]() { return mine->granted; });
     const uint64_t waited = ElapsedNanos(wait_start);
     txn->lock_wait_nanos_ += waited;
     stats_.total_wait_nanos += waited;
@@ -300,18 +211,6 @@ Status LockManager::Acquire(TransactionContext* txn, Oid oid,
     waiting_on_.erase(txn->id());
     // The wait ended (either way): its snapshot of edges is obsolete.
     if (registered) wait_graph_->Clear(txn->id());
-    if (mine->victim && !mine->granted) {
-      // Chosen as the victim (youngest-in-cycle or wound-wait) while
-      // asleep: abort instead of being granted.
-      queue->requests.erase(mine);
-      TryGrantQueue(queue);
-      ++stats_.deadlocks;
-      return Status::Aborted(
-          Format("deadlock: txn %llu chosen as %s victim on oid %llu",
-                 (unsigned long long)txn->id(),
-                 DeadlockPolicyToString(options_.victim_policy),
-                 (unsigned long long)oid));
-    }
     if (!woke) {
       queue->requests.erase(mine);
       TryGrantQueue(queue);
@@ -329,7 +228,6 @@ Status LockManager::Acquire(TransactionContext* txn, Oid oid,
 void LockManager::ReleaseAll(TransactionContext* txn) {
   MutexLock lock(mu_);
   waiting_on_.erase(txn->id());
-  wounded_.erase(txn->id());  // A finished txn outran its wound.
   for (const auto& [oid, mode] : txn->held_locks_) {
     (void)mode;
     auto qit = table_.find(oid);
@@ -371,17 +269,6 @@ bool LockManager::IsXLockedByOther(Oid oid, TxnId self) const {
     }
   }
   return false;
-}
-
-DeadlockPolicy LockManager::victim_policy() const {
-  MutexLock lock(mu_);
-  return options_.victim_policy;
-}
-
-void LockManager::SetVictimPolicy(DeadlockPolicy policy) {
-  MutexLock lock(mu_);
-  options_.victim_policy = policy;
-  if (policy != DeadlockPolicy::kWoundWait) wounded_.clear();
 }
 
 }  // namespace ocb

@@ -15,24 +15,12 @@
 ///
 /// Deadlock handling: when a request must wait, the manager builds the
 /// wait-for graph implied by the queues and runs a DFS from the requester.
-/// Which transaction dies is chosen by LockManagerOptions::victim_policy:
-///
-///   * kCycleCloser (default, the PR 2 baseline contract) — the requester
-///     whose wait would close the cycle is refused with Status::Aborted,
-///     so each cycle aborts exactly one transaction (everyone already
-///     asleep stays asleep).
-///   * kYoungest — the youngest (largest-id) transaction in the cycle is
-///     the victim. When that is a sleeping waiter it is woken with
-///     Status::Aborted and the requester waits on; when the requester is
-///     itself the youngest it is refused as under kCycleCloser.
-///   * kWoundWait — no cycle search at all: an older requester *wounds*
-///     every younger conflicting blocker (sleeping ones wake Aborted,
-///     running ones die at their next Acquire), a younger requester
-///     simply waits behind older ones. Deadlock-free by construction,
-///     at the price of aborts without a proven cycle.
-///
-/// A wait-die-style timeout (LockManagerOptions::wait_timeout_nanos)
-/// backstops anything the policy cannot see.
+/// If the wait would close a cycle, the requester is refused with
+/// Status::Aborted on the spot: each cycle aborts exactly one transaction,
+/// and everyone already asleep stays asleep. In a sharded deployment the
+/// same rule is applied across managers by the GlobalWaitGraph
+/// (wait_graph.h). A wait timeout (the constructor argument) backstops
+/// waits neither check can see.
 ///
 /// All blocking happens inside Acquire on a per-object condition variable;
 /// the table itself is protected by one mutex (critical sections are a few
@@ -63,18 +51,6 @@ namespace obs {
 class LatencyHistogram;
 }  // namespace obs
 
-/// Tunables of the lock manager.
-struct LockManagerOptions {
-  /// Upper bound on one blocking Acquire; expiring returns Aborted. The
-  /// fallback for conflicts the wait-for graph cannot express.
-  uint64_t wait_timeout_nanos = 2'000'000'000;  // 2 s
-
-  /// Deadlock victim-selection policy (see DeadlockPolicy). The default
-  /// preserves the PR 2 baseline contract: one victim per cycle (the
-  /// cycle-closing requester), FIFO fairness across aborts.
-  DeadlockPolicy victim_policy = DeadlockPolicy::kCycleCloser;
-};
-
 /// Aggregate counters (monotonic; read via stats()).
 struct LockManagerStats {
   uint64_t acquisitions = 0;     ///< Granted requests (incl. re-grants).
@@ -82,14 +58,15 @@ struct LockManagerStats {
   uint64_t deadlocks = 0;        ///< Requests refused by cycle detection.
   uint64_t timeouts = 0;         ///< Requests refused by the timeout.
   uint64_t total_wait_nanos = 0; ///< Wall time spent blocked, all txns.
-  uint64_t victim_wakeups = 0;   ///< Sleeping waiters aborted as victims.
-  uint64_t wounds = 0;           ///< Wound-wait wounds dealt to younger txns.
 };
 
 /// \brief Shared/exclusive object lock table with deadlock detection.
 class LockManager {
  public:
-  explicit LockManager(LockManagerOptions options = LockManagerOptions());
+  /// \p wait_timeout_nanos bounds one blocking Acquire (default 2 s);
+  /// expiring returns Aborted. It is the fallback for conflicts the
+  /// wait-for graph cannot express.
+  explicit LockManager(uint64_t wait_timeout_nanos = 2'000'000'000);
   ~LockManager();
 
   LockManager(const LockManager&) = delete;
@@ -120,14 +97,6 @@ class LockManager {
   /// validating transactions could mutually pass stamp-only checks.
   bool IsXLockedByOther(Oid oid, TxnId self) const;
 
-  /// Current / new deadlock victim policy. The setter is safe to call at
-  /// any time (it takes the table mutex) but is meant to be flipped
-  /// between runs: all clients of one run share one policy
-  /// (ProtocolRunner applies WorkloadParameters::deadlock_policy at
-  /// construction).
-  DeadlockPolicy victim_policy() const;
-  void SetVictimPolicy(DeadlockPolicy policy);
-
   /// Attaches a deployment-wide wait-for graph (ShardedDatabase wires all
   /// its shards' managers to one). When set, every blocking Acquire also
   /// registers its direct-blocker edges there and refuses the wait if
@@ -143,9 +112,6 @@ class LockManager {
     LockMode mode = LockMode::kShared;
     bool granted = false;
     bool upgrade = false;  ///< X request of a txn that holds S.
-    bool victim = false;   ///< Marked for abort (youngest / wound-wait);
-                           ///< the sleeping owner wakes and returns
-                           ///< Aborted instead of being granted.
   };
   struct LockQueue {
     std::list<Request> requests;      ///< Granted block, then FIFO waiters.
@@ -163,37 +129,17 @@ class LockManager {
   static bool Conflicts(const Request& request, const Request& other);
 
   /// DFS over the wait-for graph: does blocking \p waiter on \p oid close
-  /// a cycle? When it does and \p cycle is non-null, the cycle's member
-  /// transactions (including \p waiter) are appended to it. Requires mu_.
-  bool WouldDeadlock(TxnId waiter, Oid oid, LockMode mode,
-                     std::vector<TxnId>* cycle = nullptr) const
-      OCB_REQUIRES(mu_);
+  /// a cycle? Requires mu_.
+  bool WouldDeadlock(TxnId waiter, Oid oid) const OCB_REQUIRES(mu_);
 
-  /// DFS worker of WouldDeadlock: can \p node reach \p waiter? \p path
-  /// accumulates the nodes of the successful branch. Requires mu_.
+  /// DFS worker of WouldDeadlock: can \p node reach \p waiter? Requires mu_.
   bool CycleFrom(TxnId node, TxnId waiter, Oid waiter_oid,
-                 std::unordered_set<TxnId>* visited,
-                 std::vector<TxnId>* path) const OCB_REQUIRES(mu_);
+                 std::unordered_set<TxnId>* visited) const OCB_REQUIRES(mu_);
 
   /// Direct blockers of \p txn's waiting request on \p oid: every
   /// conflicting request of another txn ahead of it. Requires mu_.
   std::vector<TxnId> DirectBlockers(TxnId txn, Oid oid) const
       OCB_REQUIRES(mu_);
-
-  /// Marks \p victim's *sleeping* waiting request as a deadlock victim
-  /// and wakes it; its Acquire returns Aborted. Returns false when
-  /// \p victim is not currently blocked in this manager. Requires mu_.
-  bool MarkWaiterVictim(TxnId victim) OCB_REQUIRES(mu_);
-
-  /// True when \p txn's current wait has been marked victim (such a
-  /// wait no longer carries wait-for edges). Requires mu_.
-  bool HasVictimWait(TxnId txn) const OCB_REQUIRES(mu_);
-
-  /// Wound-wait: wounds every conflicting blocker of \p txn's request on
-  /// \p oid that is *younger* (larger id). Sleeping younger blockers are
-  /// woken as victims; running ones are flagged in wounded_ and die at
-  /// their next Acquire. Requires mu_.
-  void WoundYoungerBlockers(TxnId txn, Oid oid) OCB_REQUIRES(mu_);
 
   mutable Mutex mu_{lockdep::kLockManagerTableClass};
   std::unordered_map<Oid, std::unique_ptr<LockQueue>> table_
@@ -204,9 +150,7 @@ class LockManager {
   obs::LatencyHistogram* lock_wait_histo_ = nullptr;
   /// Blocked txn → object.
   std::unordered_map<TxnId, Oid> waiting_on_ OCB_GUARDED_BY(mu_);
-  /// Wound-wait: die at next Acquire.
-  std::unordered_set<TxnId> wounded_ OCB_GUARDED_BY(mu_);
-  LockManagerOptions options_ OCB_GUARDED_BY(mu_);
+  const uint64_t wait_timeout_nanos_;  ///< Bound on one blocking Acquire.
   LockManagerStats stats_ OCB_GUARDED_BY(mu_);
   GlobalWaitGraph* wait_graph_ = nullptr;  ///< Optional (sharded mode).
 };

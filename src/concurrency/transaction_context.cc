@@ -12,18 +12,6 @@ const char* LockModeToString(LockMode mode) {
   return "?";
 }
 
-const char* DeadlockPolicyToString(DeadlockPolicy policy) {
-  switch (policy) {
-    case DeadlockPolicy::kCycleCloser:
-      return "cycle-closer";
-    case DeadlockPolicy::kYoungest:
-      return "youngest";
-    case DeadlockPolicy::kWoundWait:
-      return "wound-wait";
-  }
-  return "?";
-}
-
 const char* TxnModeToString(TxnMode mode) {
   switch (mode) {
     case TxnMode::kSnapshotRead:

@@ -5,7 +5,8 @@
 /// through every object operation executed on the transaction's behalf. It
 /// carries:
 ///
-///   * the transaction id (monotonic; doubles as age for victim policies),
+///   * the transaction id (monotonic; the key of the lock manager's and the
+///     GlobalWaitGraph's wait-for edges),
 ///   * the set of object locks currently held (maintained by LockManager),
 ///   * an undo log of pre-images (maintained by Database) replayed in
 ///     reverse on abort,
@@ -43,25 +44,6 @@ enum class LockMode : uint8_t {
 };
 
 const char* LockModeToString(LockMode mode);
-
-/// Deadlock victim-selection policy of a LockManager (see lock_manager.h
-/// for the per-policy semantics; transaction ids double as age — a larger
-/// id is a younger transaction).
-enum class DeadlockPolicy : uint8_t {
-  /// The historical PR 2 policy: the requester whose wait would close the
-  /// cycle is refused (exactly one victim per cycle, sleepers sleep on).
-  kCycleCloser = 0,
-  /// The youngest transaction in the detected cycle aborts; if that is a
-  /// sleeping waiter it is woken with Status::Aborted and the requester
-  /// waits on.
-  kYoungest,
-  /// Wound-wait (Rosenkrantz et al.): an older requester wounds younger
-  /// conflicting holders (they abort at their next lock request, or
-  /// immediately if asleep); a younger requester waits behind older ones.
-  kWoundWait,
-};
-
-const char* DeadlockPolicyToString(DeadlockPolicy policy);
 
 /// How a transaction runs: one value picks both whether it may write and
 /// its concurrency-control scheme (see ARCHITECTURE.md "Concurrency

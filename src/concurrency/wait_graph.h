@@ -13,8 +13,8 @@
 /// right before blocking a transaction, registers the edges
 /// waiter → {direct blockers} here and asks whether they close a cycle
 /// anywhere in the deployment. Registration and cycle check are one
-/// atomic step under the graph mutex, and the victim policy matches the
-/// per-shard one — the edge-adding *newcomer* is refused (Aborted), so
+/// atomic step under the graph mutex, and the victim is chosen as in the
+/// per-shard DFS: the edge-adding *newcomer* is refused (Aborted), so
 /// each cycle aborts exactly one transaction.
 ///
 /// Identity: edges are keyed by TxnId, so all participant contexts of one

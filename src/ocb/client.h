@@ -98,9 +98,9 @@ struct MultiClientReport {
 
   /// Tail distributions merged over both phases and every client —
   /// p50/p95/p99 of per-transaction lock wait, commit latency, and 2PC
-  /// section time. Sums (above) hide the tail that deadlock-victim
-  /// policies and group-commit windows actually change; these are what
-  /// the benches and BENCH_*.json report.
+  /// section time. Sums (above) hide the tail that lock conflicts and
+  /// group-commit windows actually change; these are what the benches
+  /// and BENCH_*.json report.
   Histogram lock_wait_histogram() const {
     Histogram h = merged.cold.lock_wait_histogram;
     h.Merge(merged.warm.lock_wait_histogram);

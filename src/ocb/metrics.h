@@ -85,8 +85,8 @@ struct PhaseMetrics {
   /// Tail distributions of the per-transaction wall-time components
   /// (nanoseconds; util/stats.h log-bucket histograms, so they exist in
   /// every build — independent of the obs layer / OCB_OBS). Sums hide
-  /// the tail that deadlock-victim policies actually change; p50/p95/p99
-  /// of these are what bench_multiclient and BENCH_*.json report.
+  /// the tail that lock conflicts actually change; p50/p95/p99 of these
+  /// are what bench_multiclient and BENCH_*.json report.
   ///
   ///   * lock_wait_histogram — one sample per transaction with nonzero
   ///     lock wait (committed and aborted alike).

@@ -153,8 +153,6 @@ std::string WorkloadParameters::ToTableString() const {
             mvcc_snapshot_reads ? "on" : "off"});
   t.AddRow({"GCBATCH", "Group-commit batch cap",
             Format("%u", group_commit_max_batch)});
-  t.AddRow({"DLPOLICY", "Deadlock victim policy",
-            DeadlockPolicyToString(deadlock_policy)});
   return t.ToString();
 }
 

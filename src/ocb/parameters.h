@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "concurrency/transaction_context.h"
 #include "util/distribution.h"
 #include "util/status.h"
 
@@ -171,10 +170,6 @@ struct WorkloadParameters {
   /// commits through the same path — the baseline the group-commit
   /// bench section compares against.
   uint32_t group_commit_max_batch = 32;
-
-  /// Deadlock victim policy applied engine-wide for the run (forwarded
-  /// by ProtocolRunner).
-  DeadlockPolicy deadlock_policy = DeadlockPolicy::kCycleCloser;
 
   /// Reference type followed by hierarchy traversals (paper Fig. 3
   /// "Reference type" attribute). Default 1 = composition under

@@ -90,11 +90,10 @@ ProtocolRunnerT<DB>::ProtocolRunnerT(DB* db,
   const bool txn_mode = params_.transactional || params_.client_count > 1;
   executor_.set_transactional(txn_mode);
   if (txn_mode) {
-    // Propagate the run-wide engine knobs: the group-commit batch cap and
-    // the deadlock victim policy. All clients of one run share the same
-    // parameters, so concurrent construction writes the same values.
+    // Propagate the run-wide group-commit batch cap. All clients of one
+    // run share the same parameters, so concurrent construction writes
+    // the same value.
     db_->SetGroupCommitMaxBatch(params_.group_commit_max_batch);
-    db_->SetDeadlockPolicy(params_.deadlock_policy);
   }
 }
 
@@ -157,7 +156,7 @@ Status ProtocolRunnerT<DB>::RunPhase(uint64_t count, PhaseMetrics* out) {
     out->page_latch_wait_nanos += result->page_latch_wait_nanos;
     out->snapshot_reads += result->snapshot_reads;
     out->twopc_nanos += result->twopc_nanos;
-    // Tail distributions (sums above hide what victim policies change):
+    // Tail distributions (sums above hide what lock conflicts change):
     // lock wait over committed AND aborted txns, like the sum.
     if (result->lock_wait_nanos > 0) {
       out->lock_wait_histogram.Record(result->lock_wait_nanos);

@@ -12,7 +12,7 @@ namespace ocb {
 
 Database::Database(const StorageOptions& options)
     : options_(options),
-      lock_manager_(LockManagerOptions{options.lock_wait_timeout_nanos}),
+      lock_manager_(options.lock_wait_timeout_nanos),
       commit_pipeline_([this](const std::vector<CommitPipeline::Request*>&
                                   batch) { CommitBatch(batch); }) {
   disk_ = std::make_unique<DiskSim>(options_, &clock_);

@@ -15,8 +15,9 @@
 ///     granularity S/X locks through a strict-2PL LockManager, log
 ///     pre-images into an undo log, and hold everything until CommitTxn
 ///     (release) or AbortTxn (rollback + release). Conflicting CLIENTN
-///     clients therefore interleave with real isolation; deadlocks abort
-///     exactly one victim (Status::Aborted).
+///     clients therefore interleave with real isolation; a deadlock
+///     aborts exactly one victim, the transaction whose wait would close
+///     the cycle (Status::Aborted).
 ///   * *MVCC snapshot readers* — BeginTxn(TxnMode::kSnapshotRead) instead
 ///     pins a ReadView at the current commit timestamp. Reads of such a
 ///     transaction bypass the lock manager entirely and resolve through
@@ -250,13 +251,6 @@ class Database {
   }
   GroupCommitStats group_commit_stats() const {
     return commit_pipeline_.stats();
-  }
-
-  /// Deadlock victim policy of the lock manager (see DeadlockPolicy).
-  /// Engine-wide; ProtocolRunner applies WorkloadParameters::
-  /// deadlock_policy here once per run.
-  void SetDeadlockPolicy(DeadlockPolicy policy) {
-    lock_manager_.SetVictimPolicy(policy);
   }
 
   /// Opens a Session on this engine — the entry point of the public

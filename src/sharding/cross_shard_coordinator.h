@@ -34,7 +34,7 @@
 /// graphs, so the coordinator owns a deployment-wide GlobalWaitGraph
 /// (wait_graph.h) that every shard's lock manager registers its blocking
 /// waits in: cycle-closing waits are refused with Status::Aborted, the
-/// same newcomer-victim policy as intra-shard detection. The per-shard
+/// same newcomer victim as intra-shard detection. The per-shard
 /// lock wait timeout (StorageOptions::lock_wait_timeout_nanos, lowered
 /// by ShardedDatabase) remains only as the backstop for cycles the
 /// graph's conflicting-edges-only approximation cannot express.

@@ -11,10 +11,14 @@ namespace ocb {
 
 namespace {
 
-/// Per-shard lock wait timeout: long enough that real intra-shard
-/// conflicts resolve through the wait-for graph first, short enough that
-/// a cross-shard deadlock (invisible to every per-shard graph) stalls a
-/// client for a fraction of a second, not the single-store default of 2 s.
+/// Per-shard lock wait timeout: the backstop for cycles no wait-for check
+/// sees. Cross-shard cycles are refused at once by the GlobalWaitGraph,
+/// but it holds only the conflicting edges present when a waiter blocks
+/// (see wait_graph.h), so a cycle through a FIFO-gating wait or through
+/// an edge that appeared later goes unseen. Long enough that real
+/// conflicts resolve by grant first, short enough that such a cycle
+/// stalls a client for a fraction of a second, not the single-store
+/// default of 2 s.
 constexpr uint64_t kShardLockTimeoutNanos = 250'000'000;  // 250 ms
 
 }  // namespace
@@ -180,10 +184,6 @@ void ShardedDatabase::SetGroupCommitWindow(uint64_t nanos) {
 
 GroupCommitStats ShardedDatabase::group_commit_stats() const {
   return coordinator_->group_commit_stats();
-}
-
-void ShardedDatabase::SetDeadlockPolicy(DeadlockPolicy policy) {
-  for (auto& shard : shards_) shard->SetDeadlockPolicy(policy);
 }
 
 TransactionContext* ShardedDatabase::ContextFor(ShardedTransaction* txn,

@@ -131,9 +131,6 @@ class ShardedDatabase {
   void SetGroupCommitWindow(uint64_t nanos);
   GroupCommitStats group_commit_stats() const;
 
-  /// Deadlock victim policy, applied to every shard's lock manager.
-  void SetDeadlockPolicy(DeadlockPolicy policy);
-
   /// Opens a Session on this engine (see engine/session.h).
   SessionT<ShardedDatabase> OpenSession();
 

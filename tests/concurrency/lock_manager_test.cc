@@ -1,6 +1,7 @@
 // Tests for the 2PL LockManager: S/X compatibility, FIFO waiting, S→X
 // upgrade, and wait-for-graph deadlock detection (a cycle aborts exactly
-// one victim — the transaction whose wait would close it).
+// one victim — the transaction whose wait would close it), within one
+// manager and, through a shared GlobalWaitGraph, across two.
 
 #include "concurrency/lock_manager.h"
 
@@ -150,9 +151,7 @@ TEST(LockManagerTest, UpgradeDeadlockBetweenTwoReaders) {
 }
 
 TEST(LockManagerTest, TimeoutBackstopAborts) {
-  LockManagerOptions options;
-  options.wait_timeout_nanos = 20'000'000;  // 20 ms
-  LockManager lm(options);
+  LockManager lm(20'000'000);  // 20 ms
   TransactionContext holder(1), waiter(2);
   ASSERT_TRUE(lm.Acquire(&holder, kA, LockMode::kExclusive).ok());
   // No cycle exists (holder is running, not waiting), so only the timeout
@@ -164,13 +163,11 @@ TEST(LockManagerTest, TimeoutBackstopAborts) {
   lm.ReleaseAll(&waiter);
 }
 
-// --- Deadlock-policy regression locks (groundwork for wound-wait) -------
+// --- The cycle-closer contract --------------------------------------------
 //
-// The current policy: the transaction whose wait would *close* a cycle is
-// refused on the spot — sleepers are never woken to die, so each cycle
-// costs exactly one victim. These tests pin that contract (and FIFO
-// fairness across an abort) so a future wound-wait / youngest-victim
-// option has a behavioural baseline to diff against.
+// The transaction whose wait would *close* a cycle is refused on the spot —
+// sleepers are never woken to die, so each cycle costs exactly one victim.
+// These tests pin that contract and FIFO fairness across an abort.
 
 TEST(LockManagerTest, ThreeTxnCycleAbortsOnlyTheCycleCloser) {
   constexpr Oid kC = 3;
@@ -271,150 +268,74 @@ TEST(LockManagerTest, FifoPreventsWriterStarvation) {
   lm.ReleaseAll(&r2);
 }
 
-// --- Victim-policy selection (LockManagerOptions::victim_policy) --------
+// --- GlobalWaitGraph: cycles across lock managers --------------------------
 //
-// The PR 2 baseline contract above (one victim per cycle, FIFO fairness
-// across aborts) runs under the default kCycleCloser and stays untouched.
-// These tests pin the two alternative policies.
+// Two managers stand in for two shards. A transaction's contexts in both
+// share its id, as a ShardedDatabase's do, so the graph sees one node per
+// transaction. Whichever way a registered wait ends, its edges must go.
 
-TEST(LockManagerTest, YoungestPolicyWakesSleepingYoungestAsVictim) {
-  LockManagerOptions options;
-  options.victim_policy = DeadlockPolicy::kYoungest;
-  LockManager lm(options);
-  TransactionContext t1(1), t2(2);  // t2 is younger (larger id).
-  ASSERT_TRUE(lm.Acquire(&t1, kA, LockMode::kExclusive).ok());
-  ASSERT_TRUE(lm.Acquire(&t2, kB, LockMode::kExclusive).ok());
+TEST(GlobalWaitGraphTest, CrossManagerCycleIsRefusedAndTheSurvivorGranted) {
+  GlobalWaitGraph graph;
+  LockManager lm0, lm1;
+  lm0.SetWaitGraph(&graph);
+  lm1.SetWaitGraph(&graph);
+  TransactionContext t1_in0(1), t1_in1(1), t2_in0(2), t2_in1(2);
+  ASSERT_TRUE(lm0.Acquire(&t1_in0, kA, LockMode::kExclusive).ok());
+  ASSERT_TRUE(lm1.Acquire(&t2_in1, kB, LockMode::kExclusive).ok());
 
-  // The *younger* t2 blocks first (t2 → A held by t1).
-  Status s2;
-  std::thread blocked([&]() {
-    s2 = lm.Acquire(&t2, kA, LockMode::kExclusive);
-    if (s2.IsAborted()) lm.ReleaseAll(&t2);  // Victims abort.
-  });
-  WaitForWaits(lm, 1);
-
-  // t1 → B closes the cycle. Under kCycleCloser t1 (the requester) would
-  // die; under kYoungest the sleeping t2 is woken as the victim and t1
-  // waits on to be granted B once t2's abort releases it.
-  Status s1 = lm.Acquire(&t1, kB, LockMode::kExclusive);
-  blocked.join();
-  EXPECT_TRUE(s1.ok()) << s1.ToString();
-  EXPECT_TRUE(s2.IsAborted()) << s2.ToString();
-  EXPECT_EQ(lm.stats().victim_wakeups, 1u);
-  EXPECT_EQ(lm.stats().deadlocks, 1u);  // One victim for the cycle.
-  lm.ReleaseAll(&t1);
-  EXPECT_EQ(lm.locked_object_count(), 0u);
-}
-
-TEST(LockManagerTest, YoungestPolicyRefusesRequesterWhenItIsYoungest) {
-  LockManagerOptions options;
-  options.victim_policy = DeadlockPolicy::kYoungest;
-  LockManager lm(options);
-  TransactionContext t1(1), t2(2);
-  ASSERT_TRUE(lm.Acquire(&t1, kA, LockMode::kExclusive).ok());
-  ASSERT_TRUE(lm.Acquire(&t2, kB, LockMode::kExclusive).ok());
-
-  // The *older* t1 blocks first (t1 → B held by t2).
+  // t1 → B (t2) in manager 1: registered, no cycle yet.
   Status s1;
   std::thread blocked([&]() {
-    s1 = lm.Acquire(&t1, kB, LockMode::kExclusive);
+    s1 = lm1.Acquire(&t1_in1, kB, LockMode::kExclusive);
   });
-  WaitForWaits(lm, 1);
+  WaitForWaits(lm1, 1);
+  EXPECT_EQ(graph.waiter_count(), 1u);
 
-  // t2 → A closes the cycle and t2 *is* the youngest member: refused on
-  // the spot, exactly like the cycle-closer baseline.
-  Status s2 = lm.Acquire(&t2, kA, LockMode::kExclusive);
+  // t2 → A (t1) in manager 0 closes the cycle across the managers, which
+  // manager 0's own DFS cannot see: refused at once, not timed out.
+  Status s2 = lm0.Acquire(&t2_in0, kA, LockMode::kExclusive);
   EXPECT_TRUE(s2.IsAborted()) << s2.ToString();
-  lm.ReleaseAll(&t2);
+  EXPECT_EQ(lm0.stats().deadlocks, 1u);
+  EXPECT_EQ(lm0.stats().timeouts, 0u);
+  EXPECT_EQ(graph.waiter_count(), 1u);  // The refused wait left no edges.
+
+  // The victim aborts; t1's registered wait ends granted.
+  lm0.ReleaseAll(&t2_in0);
+  lm1.ReleaseAll(&t2_in1);
   blocked.join();
   EXPECT_TRUE(s1.ok()) << s1.ToString();
-  lm.ReleaseAll(&t1);
-  EXPECT_EQ(lm.locked_object_count(), 0u);
+  EXPECT_EQ(graph.waiter_count(), 0u);
+  EXPECT_EQ(lm1.stats().deadlocks + lm1.stats().timeouts, 0u);
+  lm0.ReleaseAll(&t1_in0);
+  lm1.ReleaseAll(&t1_in1);
 }
 
-TEST(LockManagerTest, WoundWaitOlderWoundsSleepingYounger) {
-  LockManagerOptions options;
-  options.victim_policy = DeadlockPolicy::kWoundWait;
-  LockManager lm(options);
-  TransactionContext t1(1), t2(2);
-  ASSERT_TRUE(lm.Acquire(&t1, kA, LockMode::kExclusive).ok());
-  ASSERT_TRUE(lm.Acquire(&t2, kB, LockMode::kExclusive).ok());
+TEST(GlobalWaitGraphTest, TimedOutWaitLeavesNoStaleEdge) {
+  GlobalWaitGraph graph;
+  LockManager lm0(20'000'000), lm1(20'000'000);  // 20 ms
+  lm0.SetWaitGraph(&graph);
+  lm1.SetWaitGraph(&graph);
+  TransactionContext t1_in0(1), t1_in1(1), t2_in0(2), t2_in1(2);
+  ASSERT_TRUE(lm1.Acquire(&t1_in1, kB, LockMode::kExclusive).ok());
+  ASSERT_TRUE(lm0.Acquire(&t2_in0, kA, LockMode::kExclusive).ok());
 
-  Status s2;
-  std::thread blocked([&]() {
-    s2 = lm.Acquire(&t2, kA, LockMode::kExclusive);  // Younger waits.
-    if (s2.IsAborted()) lm.ReleaseAll(&t2);
-  });
-  WaitForWaits(lm, 1);
-
-  // Older t1 wants B, held by the younger (and sleeping) t2: wound-wait
-  // wakes t2 as a victim and t1 takes B after the abort releases it.
-  Status s1 = lm.Acquire(&t1, kB, LockMode::kExclusive);
-  blocked.join();
-  EXPECT_TRUE(s1.ok()) << s1.ToString();
+  // t2 → B (t1) in manager 1: t1 is running, so only the timeout ends it.
+  Status s2 = lm1.Acquire(&t2_in1, kB, LockMode::kExclusive);
   EXPECT_TRUE(s2.IsAborted()) << s2.ToString();
-  EXPECT_GE(lm.stats().wounds, 1u);
-  lm.ReleaseAll(&t1);
-  EXPECT_EQ(lm.locked_object_count(), 0u);
-}
+  EXPECT_EQ(lm1.stats().timeouts, 1u);
+  EXPECT_EQ(graph.waiter_count(), 0u);
 
-TEST(LockManagerTest, WoundWaitRunningYoungerDiesAtNextAcquire) {
-  LockManagerOptions options;
-  options.victim_policy = DeadlockPolicy::kWoundWait;
-  LockManager lm(options);
-  TransactionContext t1(1), t2(2);
-  ASSERT_TRUE(lm.Acquire(&t2, kA, LockMode::kExclusive).ok());
+  // Before t2 aborts, t1 → A (t2) in manager 0. A stale t2 → t1 edge
+  // would refuse this as a cycle; without it the wait is an ordinary
+  // one and times out too.
+  Status s1 = lm0.Acquire(&t1_in0, kA, LockMode::kExclusive);
+  EXPECT_TRUE(s1.IsAborted()) << s1.ToString();
+  EXPECT_EQ(lm0.stats().deadlocks, 0u);
+  EXPECT_EQ(lm0.stats().timeouts, 1u);
+  EXPECT_EQ(graph.waiter_count(), 0u);
 
-  // Older t1 blocks on A: the younger holder t2 is *running* (not
-  // waiting), so the wound is deferred — flagged, to be honored at t2's
-  // next lock request.
-  Status s1;
-  std::thread blocked([&]() {
-    s1 = lm.Acquire(&t1, kA, LockMode::kExclusive);
-  });
-  WaitForWaits(lm, 1);
-
-  Status s2 = lm.Acquire(&t2, kB, LockMode::kShared);
-  EXPECT_TRUE(s2.IsAborted()) << s2.ToString();  // The wound lands here.
-  lm.ReleaseAll(&t2);
-  blocked.join();
-  EXPECT_TRUE(s1.ok()) << s1.ToString();
-  EXPECT_GE(lm.stats().wounds, 1u);
-  lm.ReleaseAll(&t1);
-  EXPECT_EQ(lm.locked_object_count(), 0u);
-}
-
-TEST(LockManagerTest, WoundWaitYoungerSimplyWaitsBehindOlder) {
-  LockManagerOptions options;
-  options.victim_policy = DeadlockPolicy::kWoundWait;
-  LockManager lm(options);
-  TransactionContext t1(1), t2(2);
-  ASSERT_TRUE(lm.Acquire(&t1, kA, LockMode::kExclusive).ok());
-
-  // Younger wants what the older holds: no wound, a plain FIFO wait.
-  std::atomic<bool> granted{false};
-  Status s2;
-  std::thread blocked([&]() {
-    s2 = lm.Acquire(&t2, kA, LockMode::kExclusive);
-    granted = true;
-  });
-  WaitForWaits(lm, 1);
-  EXPECT_FALSE(granted);
-  EXPECT_EQ(lm.stats().wounds, 0u);
-  lm.ReleaseAll(&t1);
-  blocked.join();
-  EXPECT_TRUE(s2.ok()) << s2.ToString();
-  lm.ReleaseAll(&t2);
-  EXPECT_EQ(lm.locked_object_count(), 0u);
-}
-
-TEST(LockManagerTest, PolicyIsSwitchableAtRuntime) {
-  LockManager lm;
-  EXPECT_EQ(lm.victim_policy(), DeadlockPolicy::kCycleCloser);
-  lm.SetVictimPolicy(DeadlockPolicy::kWoundWait);
-  EXPECT_EQ(lm.victim_policy(), DeadlockPolicy::kWoundWait);
-  lm.SetVictimPolicy(DeadlockPolicy::kYoungest);
-  EXPECT_EQ(lm.victim_policy(), DeadlockPolicy::kYoungest);
+  lm0.ReleaseAll(&t2_in0);
+  lm1.ReleaseAll(&t1_in1);
 }
 
 }  // namespace

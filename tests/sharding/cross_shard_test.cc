@@ -3,11 +3,14 @@
 // commit atomically (an abort injected between prepare and commit rolls
 // every shard back), and cross-shard MVCC snapshots are consistent — a
 // reader never sees shard A's half of a commit without shard B's,
-// single-threaded and under a multi-threaded writer/reader stress.
+// single-threaded and under a multi-threaded writer/reader stress — and a
+// deadlock that spans shards is refused at once by the deployment-wide
+// wait-for graph instead of stalling until the per-shard lock timeout.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -306,6 +309,47 @@ TEST_F(CrossShardTest, ReadOnlyTxnRefusesWrites) {
   EXPECT_TRUE(reader.read_only());
   EXPECT_TRUE(reader.SetReference(a_, 0, t1_).IsInvalidArgument());
   EXPECT_TRUE(reader.Commit().ok());
+}
+
+TEST_F(CrossShardTest, CrossShardDeadlockIsRefusedWithoutTimeout) {
+  const Object a_obj = *db_.PeekObject(a_);
+  const Object b_obj = *db_.PeekObject(b_);
+  auto txn1 = Begin();
+  auto txn2 = Begin();
+  ASSERT_TRUE(txn1.Put(a_obj).ok());  // X on a_, shard 0.
+  ASSERT_TRUE(txn2.Put(b_obj).ok());  // X on b_, shard 1.
+
+  // txn 1 → b_ blocks in shard 1's lock manager behind txn 2.
+  LockManager* lm1 = db_.shard(1)->lock_manager();
+  Status s1;
+  std::thread blocked([&]() { s1 = txn1.Put(b_obj); });
+  for (int i = 0; i < 2000 && lm1->stats().waits == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(lm1->stats().waits, 1u) << "txn 1 never blocked on b_";
+
+  // txn 2 → a_ closes txn 2 → txn 1 → txn 2 across the shards. Neither
+  // shard's own DFS sees it; the wait graph refuses it on the spot.
+  const auto start = std::chrono::steady_clock::now();
+  Status s2 = txn2.Put(a_obj);
+  const auto took = std::chrono::steady_clock::now() - start;
+  EXPECT_TRUE(s2.IsAborted()) << s2.ToString();
+  EXPECT_LT(took, std::chrono::milliseconds(100));
+
+  EXPECT_TRUE(txn2.Abort().ok());  // Releases b_: txn 1 goes on.
+  blocked.join();
+  EXPECT_TRUE(s1.ok()) << s1.ToString();
+  EXPECT_TRUE(txn1.Commit().ok());
+
+  uint64_t deadlocks = 0;
+  uint64_t timeouts = 0;
+  for (uint32_t k = 0; k < 2; ++k) {
+    const LockManagerStats st = db_.shard(k)->lock_manager()->stats();
+    deadlocks += st.deadlocks;
+    timeouts += st.timeouts;
+  }
+  EXPECT_EQ(deadlocks, 1u);
+  EXPECT_EQ(timeouts, 0u);
 }
 
 }  // namespace
