@@ -2,12 +2,14 @@
 /// \brief Ext-7: google-benchmark microbenchmarks of the substrate hot
 ///        paths — RNG draws, distribution sampling, page operations,
 ///        buffer-pool hits and misses, inline disk reads, uncontended
-///        lock acquire/release, object codec, and generator throughput.
+///        lock acquire/release and commit-pipeline submit, object codec,
+///        and generator throughput.
 
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "concurrency/commit_pipeline.h"
 #include "concurrency/lock_manager.h"
 #include "oodb/database.h"
 #include "ocb/generator.h"
@@ -129,6 +131,20 @@ void BM_LockAcquireRelease(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 BENCHMARK(BM_LockAcquireRelease)->Arg(1)->Arg(16);
+
+// The commit-pipeline floor: one uncontended committer, so every Submit
+// leads a batch of one; the batch function only sets OK.
+void BM_CommitPipelineSubmit(benchmark::State& state) {
+  CommitPipeline pipeline(
+      [](const std::vector<CommitPipeline::Request*>& batch) {
+        for (CommitPipeline::Request* r : batch) r->status = Status::OK();
+      });
+  int handle = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pipeline.Submit(&handle));
+  }
+}
+BENCHMARK(BM_CommitPipelineSubmit);
 
 void BM_ObjectCodecRoundTrip(benchmark::State& state) {
   Object obj;

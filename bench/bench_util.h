@@ -12,13 +12,9 @@
 #define OCB_BENCH_BENCH_UTIL_H_
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
-#include "obs/json_writer.h"
-#include "obs/metrics_registry.h"
 #include "util/format.h"
-#include "util/stats.h"
 
 namespace ocb {
 namespace bench {
@@ -36,94 +32,6 @@ inline void PrintNote(const std::string& note) {
 inline void PrintTable(const TextTable& table) {
   std::printf("%s", table.ToString().c_str());
 }
-
-/// Serializes a util/stats.h histogram as {"count","mean","p50","p95",
-/// "p99","max"} under \p key — the shared shape of every histogram in
-/// BENCH_*.json (ci/check_bench_json.py validates it).
-inline void WriteHistogramJson(obs::JsonWriter& w, const char* key,
-                               const Histogram& h) {
-  w.BeginObject(key)
-      .Field("count", h.count())
-      .Field("mean", h.mean())
-      .Field("p50", h.Percentile(50))
-      .Field("p95", h.Percentile(95))
-      .Field("p99", h.Percentile(99))
-      .Field("max", h.max())
-      .EndObject();
-}
-
-/// \brief Machine-readable bench output (env OCB_BENCH_JSON=path).
-///
-/// When the env var is set, the bench appends one JSON object per sweep
-/// point into a "sweep" array and writes the document at scope exit:
-///
-///   {"bench": "<name>", "schema_version": 1,
-///    "sweep": [{"section": ..., "clients": ..., "throughput_tps": ...,
-///               "aborts": ..., "histograms": {...}, "registry": {...}},
-///              ...]}
-///
-/// Usage: construct once in main; per sweep point call BeginPoint(),
-/// add fields through writer() (including WriteHistogramJson and
-/// MetricsSnapshot::ToJson via Raw), then EndPoint(). Disabled (env
-/// unset) every method is a no-op, so bench code carries no ifs.
-class BenchJsonSink {
- public:
-  explicit BenchJsonSink(const std::string& bench_name) {
-    const char* path = std::getenv("OCB_BENCH_JSON");
-    if (path == nullptr || path[0] == '\0') return;
-    path_ = path;
-    writer_.BeginObject();
-    writer_.Field("bench", bench_name);
-    writer_.Field("schema_version", uint64_t{1});
-    writer_.BeginArray("sweep");
-  }
-
-  ~BenchJsonSink() { Write(); }
-
-  BenchJsonSink(const BenchJsonSink&) = delete;
-  BenchJsonSink& operator=(const BenchJsonSink&) = delete;
-
-  bool enabled() const { return !path_.empty(); }
-
-  void BeginPoint() {
-    if (enabled()) writer_.BeginObject();
-  }
-  void EndPoint() {
-    if (enabled()) writer_.EndObject();
-  }
-
-  /// The underlying writer; only touch between BeginPoint/EndPoint and
-  /// only when enabled().
-  obs::JsonWriter& writer() { return writer_; }
-
-  /// Closes the document and writes the file (idempotent; also run by
-  /// the destructor). Returns false on I/O error or when disabled.
-  bool Write() {
-    if (!enabled() || written_) return false;
-    written_ = true;
-    writer_.EndArray();
-    writer_.EndObject();
-    std::FILE* f = std::fopen(path_.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "OCB_BENCH_JSON: cannot open %s\n",
-                   path_.c_str());
-      return false;
-    }
-    const std::string& json = writer_.str();
-    const size_t n = std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    if (n == json.size()) {
-      std::printf("bench json written: %s\n", path_.c_str());
-      return true;
-    }
-    return false;
-  }
-
- private:
-  std::string path_;
-  obs::JsonWriter writer_;
-  bool written_ = false;
-};
 
 }  // namespace bench
 }  // namespace ocb

@@ -27,8 +27,7 @@
 /// order, stamp-before-release) is the batch function's contract.
 ///
 /// max_batch = 1 degrades to per-transaction commits through the same
-/// code path — the baseline the group-commit bench section compares
-/// against.
+/// code path.
 
 #ifndef OCB_CONCURRENCY_COMMIT_PIPELINE_H_
 #define OCB_CONCURRENCY_COMMIT_PIPELINE_H_
@@ -45,25 +44,6 @@
 #include "util/sync.h"
 
 namespace ocb {
-
-/// Group-commit tunables.
-struct GroupCommitOptions {
-  /// Largest batch one leader may take. 1 = per-transaction commits
-  /// (group commit effectively off); larger values let a leader absorb
-  /// every committer that arrived while its predecessor worked.
-  uint32_t max_batch = 32;
-
-  /// Optional accumulation window: a fresh leader waits up to this long
-  /// for followers before taking its batch (it leaves early the moment
-  /// max_batch committers are queued). 0 — the default — means a leader
-  /// never waits: batches only form from committers that arrived while
-  /// the *previous* leader worked, so an uncontended commit pays zero
-  /// added latency. A non-zero window trades commit latency for larger
-  /// batches — the binlog_group_commit_sync_delay idea — and is what
-  /// lets single-core hosts (where a leader finishes before the OS
-  /// schedules the next committer) form batches at all.
-  uint64_t window_nanos = 0;
-};
 
 /// Aggregate pipeline counters (monotonic; read via stats()).
 struct GroupCommitStats {
@@ -98,32 +78,16 @@ class CommitPipeline {
   /// current leader), outside the pipeline mutex.
   using BatchFn = std::function<void(const std::vector<Request*>&)>;
 
-  explicit CommitPipeline(BatchFn fn) : fn_(std::move(fn)) {}
+  /// \p max_batch is the largest batch one leader may take. 1 =
+  /// per-transaction commits (group commit effectively off); larger
+  /// values let a leader absorb every committer that arrived while its
+  /// predecessor worked. A leader never waits for followers, so an
+  /// uncontended commit pays no added latency.
+  explicit CommitPipeline(BatchFn fn, uint32_t max_batch = 32)
+      : fn_(std::move(fn)), max_batch_(max_batch < 1 ? 1 : max_batch) {}
 
   CommitPipeline(const CommitPipeline&) = delete;
   CommitPipeline& operator=(const CommitPipeline&) = delete;
-
-  /// Current / new batch-size cap. Safe to change between runs (takes
-  /// the pipeline mutex); in-flight batches keep the cap they started
-  /// with.
-  uint32_t max_batch() const {
-    MutexLock lock(mu_);
-    return options_.max_batch;
-  }
-  void set_max_batch(uint32_t n) {
-    MutexLock lock(mu_);
-    options_.max_batch = n < 1 ? 1 : n;
-  }
-
-  /// Accumulation window (see GroupCommitOptions::window_nanos).
-  uint64_t window_nanos() const {
-    MutexLock lock(mu_);
-    return options_.window_nanos;
-  }
-  void set_window_nanos(uint64_t nanos) {
-    MutexLock lock(mu_);
-    options_.window_nanos = nanos;
-  }
 
   /// Enqueues \p handle and blocks until a leader (possibly this thread)
   /// has processed it; returns the status the batch function assigned.
@@ -132,12 +96,14 @@ class CommitPipeline {
   /// relock mu_ mid-function, a flow the intraprocedural analysis cannot
   /// follow. Lockdep still sees every transition through Mutex::lock/
   /// unlock.
+  ///
+  /// Enqueueing notifies nobody: a follower waits only while a leader is
+  /// active, and that leader's end-of-batch notify_all wakes it.
   Status Submit(void* handle) OCB_NO_THREAD_SAFETY_ANALYSIS {
     Request req;
     req.handle = handle;
     std::unique_lock<Mutex> lock(mu_);
     queue_.push_back(&req);
-    cv_.notify_all();  // A window-waiting leader counts arrivals.
     // A processed request has its handle nulled by the leader. A thread
     // may have to lead more than one round before its own request is
     // taken: with a small max_batch the queue front can be a full batch
@@ -148,15 +114,8 @@ class CommitPipeline {
         continue;
       }
       leader_active_ = true;
-      const uint32_t cap = options_.max_batch;
-      if (options_.window_nanos > 0 && queue_.size() < cap) {
-        // Accumulation window: give followers a beat to pile in. Idle
-        // wait — deliberately NOT counted as commit-path work.
-        cv_.wait_for(lock, std::chrono::nanoseconds(options_.window_nanos),
-                     [&]() { return queue_.size() >= cap; });
-      }
       std::vector<Request*> batch;
-      while (!queue_.empty() && batch.size() < cap) {
+      while (!queue_.empty() && batch.size() < max_batch_) {
         batch.push_back(queue_.front());
         queue_.pop_front();
       }
@@ -191,11 +150,11 @@ class CommitPipeline {
 
  private:
   BatchFn fn_;
+  const uint32_t max_batch_;
   mutable Mutex mu_{lockdep::kCommitPipelineClass};
   std::condition_variable_any cv_;
   std::deque<Request*> queue_ OCB_GUARDED_BY(mu_);
   bool leader_active_ OCB_GUARDED_BY(mu_) = false;
-  GroupCommitOptions options_ OCB_GUARDED_BY(mu_);
   GroupCommitStats stats_ OCB_GUARDED_BY(mu_);
 };
 

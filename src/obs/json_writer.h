@@ -1,7 +1,6 @@
 /// \file json_writer.h
 /// \brief Minimal streaming JSON writer used by the observability layer
-///        (metric-snapshot serialization, Chrome trace-event dumps) and
-///        the benches' machine-readable output (OCB_BENCH_JSON).
+///        (metric-snapshot serialization, Chrome trace-event dumps).
 ///
 /// Deliberately tiny: objects, arrays, string/number/bool scalars, with
 /// string escaping per RFC 8259. The writer tracks nesting so commas and

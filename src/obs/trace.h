@@ -18,8 +18,7 @@
 ///     because Chrome's JSON format nests same-tid "X" events by
 ///     [ts, ts+dur] containment — no parent pointers needed.
 ///
-///   * Instant events (TraceInstant) mark points like the group-commit
-///     log force.
+///   * Instant events (TraceInstant) mark a single point in time.
 ///
 ///   * Everything is gated on TraceRecorder::enabled(): one relaxed load
 ///     when tracing is off (the common case), and the whole surface

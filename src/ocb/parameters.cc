@@ -117,9 +117,6 @@ Status WorkloadParameters::Validate() const {
   if (client_count == 0) {
     return Status::InvalidArgument("client_count must be >= 1");
   }
-  if (group_commit_max_batch == 0) {
-    return Status::InvalidArgument("group_commit_max_batch must be >= 1");
-  }
   OCB_RETURN_NOT_OK(dist5_roots.Validate());
   return Status::OK();
 }
@@ -151,8 +148,6 @@ std::string WorkloadParameters::ToTableString() const {
   t.AddRow({"CLIENTN", "Number of clients", Format("%u", client_count)});
   t.AddRow({"MVCC", "Snapshot reads for read-only transactions",
             mvcc_snapshot_reads ? "on" : "off"});
-  t.AddRow({"GCBATCH", "Group-commit batch cap",
-            Format("%u", group_commit_max_batch)});
   return t.ToString();
 }
 

@@ -165,12 +165,6 @@ struct WorkloadParameters {
   /// writers' X locks). Ignored on the legacy path.
   bool mvcc_snapshot_reads = true;
 
-  /// Group-commit batch-size cap of the engine's commit pipeline
-  /// (ProtocolRunner forwards it at construction). 1 = per-transaction
-  /// commits through the same path — the baseline the group-commit
-  /// bench section compares against.
-  uint32_t group_commit_max_batch = 32;
-
   /// Reference type followed by hierarchy traversals (paper Fig. 3
   /// "Reference type" attribute). Default 1 = composition under
   /// Schema::DefaultTraits.

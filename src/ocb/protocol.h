@@ -87,14 +87,8 @@ ProtocolRunnerT<DB>::ProtocolRunnerT(DB* db,
     std::shuffle(root_pool_.begin(), root_pool_.end(), pool_rng);
     root_pool_.resize(params_.root_pool_size);
   }
-  const bool txn_mode = params_.transactional || params_.client_count > 1;
-  executor_.set_transactional(txn_mode);
-  if (txn_mode) {
-    // Propagate the run-wide group-commit batch cap. All clients of one
-    // run share the same parameters, so concurrent construction writes
-    // the same value.
-    db_->SetGroupCommitMaxBatch(params_.group_commit_max_batch);
-  }
+  executor_.set_transactional(params_.transactional ||
+                              params_.client_count > 1);
 }
 
 template <typename DB>

@@ -360,13 +360,6 @@ Status Database::CommitTxnInternal(TransactionContext* txn,
     } else {
       wal_ts = version_store_.StampCommitted(txn->id());
     }
-    // A lone writer commit forces its own commit record (external_ts
-    // means a coordinator drives this commit and charges the force once
-    // per cross-shard batch instead).
-    if (external_ts == 0 && options_.commit_log_force_nanos > 0) {
-      obs::TraceInstant("commit.log_force", "txn", txn->id());
-      clock_.Advance(options_.commit_log_force_nanos);
-    }
     // Real WAL: a lone writer appends and forces its own record before
     // the commit is acknowledged. Coordinated commits (external_ts != 0)
     // were already appended by the coordinator via WalAppendTxn, which
@@ -450,17 +443,11 @@ void Database::CommitBatch(
     if (!to_stamp.empty()) {
       last_ts = version_store_.StampCommittedBatch(to_stamp);
     }
-    // ONE simulated commit-record force for the whole batch — the log
-    // amortization that is group commit's classic payoff. Read-only and
-    // writeless members force nothing.
-    if (!writers.empty() && options_.commit_log_force_nanos > 0) {
-      obs::TraceInstant("commit.log_force", "batch", batch.size());
-      clock_.Advance(options_.commit_log_force_nanos);
-    }
     // Real WAL: one append per writer, ONE force for the whole batch —
-    // the actual form of the amortization simulated above. The members'
-    // locks are all still held, so the post-images read here are exactly
-    // the committed states.
+    // the log amortization that is group commit's classic payoff.
+    // Read-only and writeless members force nothing. The members' locks
+    // are all still held, so the post-images read here are exactly the
+    // committed states.
     if (wal_ != nullptr && !writers.empty()) {
       CommitTs ts = last_ts - writers.size() + 1;
       for (TransactionContext* txn : writers) {
@@ -868,25 +855,34 @@ Result<Oid> Database::CreateObject(TransactionContext* txn,
   }
   std::vector<uint8_t> bytes;
   obj.EncodeTo(&bytes);
-  OCB_ASSIGN_OR_RETURN(Oid oid, store_->Insert(bytes));
-  {
-    TimedUniqueLock cat(catalog_mu_);
-    schema_.GetMutableClass(class_id).iterator.push_back(oid);
-    ++extent_versions_[class_id];
-  }
-  if (txn != nullptr) {
+  Oid oid = kInvalidOid;
+  if (txn == nullptr) {
+    OCB_ASSIGN_OR_RETURN(oid, store_->Insert(bytes));
+  } else {
+    // X-lock the oid before the store table and the class extent publish
+    // it. Otherwise a concurrent transaction can find the uncommitted
+    // object (LiveOidsSnapshot, ExtentSnapshot), lock it first and wire a
+    // reference to it that this creation's abort leaves dangling, or
+    // append its own version ahead of this creation in the chain. A fresh
+    // oid is unknown to every other transaction, so this grant never
+    // blocks.
+    oid = store_->AllocateOid();
+    OCB_RETURN_NOT_OK(
+        lock_manager_.Acquire(txn, oid, LockMode::kExclusive));
+    // Snapshot readers born before this commit must not see the object.
+    version_store_.PublishCreation(txn->id(), oid);
+    OCB_RETURN_NOT_OK(store_->InsertWithOid(oid, bytes));
     UndoRecord record;
     record.kind = UndoRecord::Kind::kCreate;
     record.oid = oid;
     record.class_id = class_id;
     txn->undo_log_.push_back(std::move(record));
     txn->undo_logged_.insert(oid);
-    // Snapshot readers born before this commit must not see the object.
-    version_store_.PublishCreation(txn->id(), oid);
-    // A fresh oid is unknown to every other transaction, so this grant
-    // never blocks.
-    OCB_RETURN_NOT_OK(
-        lock_manager_.Acquire(txn, oid, LockMode::kExclusive));
+  }
+  {
+    TimedUniqueLock cat(catalog_mu_);
+    schema_.GetMutableClass(class_id).iterator.push_back(oid);
+    ++extent_versions_[class_id];
   }
   return oid;
 }

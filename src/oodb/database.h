@@ -238,17 +238,7 @@ class Database {
   /// bypass the pipeline (they have nothing to amortize).
   Status CommitTxnGrouped(TransactionContext* txn);
 
-  /// Group-commit batch-size cap (1 = per-transaction commits through
-  /// the same path) and pipeline counters. The cap is applied per run
-  /// (ProtocolRunner forwards WorkloadParameters::group_commit_max_batch).
-  void SetGroupCommitMaxBatch(uint32_t n) {
-    commit_pipeline_.set_max_batch(n);
-  }
-  /// Accumulation window (GroupCommitOptions::window_nanos; default 0 —
-  /// an uncontended commit never waits).
-  void SetGroupCommitWindow(uint64_t nanos) {
-    commit_pipeline_.set_window_nanos(nanos);
-  }
+  /// Group-commit pipeline counters.
   GroupCommitStats group_commit_stats() const {
     return commit_pipeline_.stats();
   }

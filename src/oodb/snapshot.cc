@@ -124,8 +124,12 @@ Status SaveSnapshot(Database* db, const std::string& path) {
     w.U32(cls.instance_size);
     for (uint32_t j = 0; j < cls.maxnref; ++j) w.U16(cls.tref[j]);
     for (uint32_t j = 0; j < cls.maxnref; ++j) w.U32(cls.cref[j]);
-    w.U64(cls.iterator.size());
-    for (Oid oid : cls.iterator) w.U64(oid);
+    // A committer may append to the live extent meanwhile (the quiesce
+    // gate does not stop creates): write a copy taken under the catalog
+    // latch.
+    const std::vector<Oid> extent = db->ExtentSnapshot(c);
+    w.U64(extent.size());
+    for (Oid oid : extent) w.U64(oid);
   }
 
   // Object table.

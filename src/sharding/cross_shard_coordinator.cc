@@ -32,17 +32,6 @@ void RecordTwopcSection(uint64_t nanos) {
 
 }  // namespace
 
-void CrossShardCoordinator::ChargeLogForce(uint64_t batches) {
-  // The deployment keeps one (simulated) commit log; shard 0's clock
-  // stands in for it. Shards' own CommitTxnAt calls never charge (they
-  // run under external timestamps), so the force is paid exactly once
-  // per commit batch.
-  const uint64_t force = shards_[0]->options().commit_log_force_nanos;
-  if (force > 0 && batches > 0) {
-    shards_[0]->AdvanceSimClock(force * batches);
-  }
-}
-
 CommitTs CrossShardCoordinator::BeginFastPathCommit() {
   MutexLock lock(inflight_mu_);
   const CommitTs ts = NextTimestamp();
@@ -204,7 +193,6 @@ Status CrossShardCoordinator::Commit(ShardedTransaction* txn) {
       }
       if (!st.ok() && first_failure.ok()) first_failure = st;
       if (!wal_st.ok() && first_failure.ok()) first_failure = wal_st;
-      ChargeLogForce(1);
     }
     for (uint32_t k : readers) {
       Status st = shards_[k]->CommitTxn(txn->contexts_[k].get());
@@ -274,7 +262,6 @@ Status CrossShardCoordinator::Commit(ShardedTransaction* txn) {
   // this commit on every participant; before it, on none.
   if (coord_wal_ != nullptr && wal_st.ok()) wal_st = coord_wal_->Force();
   if (!wal_st.ok() && first_failure.ok()) first_failure = wal_st;
-  ChargeLogForce(1);
   txn->state_ = TxnState::kCommitted;
   txn->twopc_nanos_ = NanosSince(start);
   twopc_nanos_.fetch_add(txn->twopc_nanos_, std::memory_order_relaxed);
@@ -328,11 +315,6 @@ void CrossShardCoordinator::CommitBatch(
     }
     (m.writers.size() <= 1 ? fast : twopc).push_back(&m);
   }
-  // Whether some member actually *committed* writes this batch — only
-  // then is a commit record forced (charged once, at the end; a batch
-  // whose writers all abort forces nothing, matching Commit()).
-  bool committed_writes = false;
-
   // --- Fast-path members: ONE registry pass draws every timestamp (the
   // snapshot-atomicity argument of BeginFastPathCommit holds per member),
   // stamping runs outside any coordinator mutex, ONE pass retires them.
@@ -362,7 +344,6 @@ void CrossShardCoordinator::CommitBatch(
         Status st = shards_[k]->CommitTxnAt(m->txn->contexts_[k].get(),
                                             m->ts);
         if (!st.ok() && m->failure.ok()) m->failure = st;
-        committed_writes = true;
       }
       for (uint32_t k : m->readers) {
         Status st = shards_[k]->CommitTxn(m->txn->contexts_[k].get());
@@ -494,7 +475,6 @@ void CrossShardCoordinator::CommitBatch(
       m->req->status = m->failure;
       ++survivors;
     }
-    if (survivors > 0) committed_writes = true;
     // 2PC time: the whole section is shared work; attribute an even
     // share to each *surviving* member (the aggregate — what the bench
     // reports — stays exact; aborted members rolled back before the
@@ -509,7 +489,6 @@ void CrossShardCoordinator::CommitBatch(
     twopc_nanos_.fetch_add(section, std::memory_order_relaxed);
     RecordTwopcSection(section);
   }
-  if (committed_writes) ChargeLogForce(1);
 }
 
 Status CrossShardCoordinator::Abort(ShardedTransaction* txn) {

@@ -111,11 +111,7 @@ class CrossShardCoordinator {
   /// the member it fires for, the rest of the batch commits.
   Status CommitGrouped(ShardedTransaction* txn);
 
-  /// Group-commit batch cap, accumulation window / pipeline counters.
-  void SetGroupCommitMaxBatch(uint32_t n) { pipeline_.set_max_batch(n); }
-  void SetGroupCommitWindow(uint64_t nanos) {
-    pipeline_.set_window_nanos(nanos);
-  }
+  /// Group-commit pipeline counters.
   GroupCommitStats group_commit_stats() const { return pipeline_.stats(); }
 
   /// Aborts \p txn on every participant shard (one globally drawn seal
@@ -198,10 +194,6 @@ class CrossShardCoordinator {
   /// batches the fast-path registry traffic and the 2PC commit-mutex
   /// section.
   void CommitBatch(const std::vector<CommitPipeline::Request*>& batch);
-
-  /// Charges \p batches simulated commit-record forces
-  /// (StorageOptions::commit_log_force_nanos) to the deployment log.
-  void ChargeLogForce(uint64_t batches);
 
   std::vector<Database*> shards_;
   std::atomic<CommitTs> next_ts_{0};

@@ -174,14 +174,6 @@ Status ShardedDatabase::CommitTxnGrouped(ShardedTransaction* txn) {
   return coordinator_->CommitGrouped(txn);
 }
 
-void ShardedDatabase::SetGroupCommitMaxBatch(uint32_t n) {
-  coordinator_->SetGroupCommitMaxBatch(n);
-}
-
-void ShardedDatabase::SetGroupCommitWindow(uint64_t nanos) {
-  coordinator_->SetGroupCommitWindow(nanos);
-}
-
 GroupCommitStats ShardedDatabase::group_commit_stats() const {
   return coordinator_->group_commit_stats();
 }

@@ -125,10 +125,7 @@ class ShardedDatabase {
   /// bypass the pipeline.
   Status CommitTxnGrouped(ShardedTransaction* txn);
 
-  /// Group-commit batch cap, accumulation window / counters
-  /// (coordinator pipeline).
-  void SetGroupCommitMaxBatch(uint32_t n);
-  void SetGroupCommitWindow(uint64_t nanos);
+  /// Group-commit counters (coordinator pipeline).
   GroupCommitStats group_commit_stats() const;
 
   /// Opens a Session on this engine (see engine/session.h).

@@ -12,8 +12,8 @@
 /// exactly one client thread drives it, so the bundle needs no internal
 /// synchronization. The accounting accessors (lock_wait_nanos,
 /// snapshot_reads) sum over the participant contexts; shards_touched /
-/// cross_shard / twopc_nanos feed the bench's cross-shard-fraction and
-/// 2PC-overhead metrics.
+/// cross_shard / twopc_nanos feed PhaseMetrics' cross_shard_commits and
+/// twopc_nanos.
 
 #ifndef OCB_SHARDING_SHARDED_TRANSACTION_H_
 #define OCB_SHARDING_SHARDED_TRANSACTION_H_
@@ -88,8 +88,8 @@ class ShardedTransaction {
     return n;
   }
 
-  /// True when the footprint spans more than one shard (the bench's
-  /// cross-shard-fraction numerator).
+  /// True when the footprint spans more than one shard (counted in
+  /// PhaseMetrics::cross_shard_commits).
   bool cross_shard() const { return shards_touched() > 1; }
 
   /// Wall time spent inside the coordinator's two-phase commit/abort for

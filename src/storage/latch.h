@@ -11,9 +11,8 @@
 ///     long the calling thread spent *blocked* acquiring (a) the Database
 ///     facade/catalog latch and (b) page-level latches (frame latches and
 ///     buffer-pool stripe mutexes). The transaction executor snapshots the
-///     counters around each transaction so bench_multiclient can report
-///     facade-latch vs page-latch wait per phase — the headline number of
-///     the per-page-latching refactor.
+///     counters around each transaction so PhaseMetrics can report
+///     facade-latch vs page-latch wait per phase.
 ///
 /// The accounting helpers take the uncontended path for free: they try_lock
 /// first and only start a clock when that fails, so the fast path adds two
@@ -51,9 +50,9 @@ inline const char* LatchModeToString(LatchMode mode) {
 /// that performed the latched work — handing a transaction across
 /// threads mid-flight would split its wait between two counters. That
 /// is why TransactionResult's facade/page wait fields are filled inside
-/// Execute on the client thread, and why the per-client rows of
-/// bench_multiclient sum exactly to the phase totals: every nanosecond
-/// of blocked wall time is charged to exactly one thread, once.
+/// Execute on the client thread, and why the clients' per-phase waits
+/// sum exactly to the merged phase totals: every nanosecond of blocked
+/// wall time is charged to exactly one thread, once.
 ///
 /// The counters deliberately never reset: concurrent phases on one
 /// thread (cold run, warm run) each subtract their own start snapshot,

@@ -88,7 +88,7 @@ Result<Oid> ObjectStore::Insert(std::span<const uint8_t> bytes,
     }
   }
   OCB_ASSIGN_OR_RETURN(ObjectLocation loc, Place(bytes, hint_page));
-  const Oid oid = next_oid_.fetch_add(oid_stride_, std::memory_order_relaxed);
+  const Oid oid = AllocateOid();
   table_.Put(oid, loc);
   stats_.objects.fetch_add(1, std::memory_order_relaxed);
   stats_.bytes_stored.fetch_add(bytes.size(), std::memory_order_relaxed);

@@ -97,10 +97,18 @@ class ObjectStore {
   Result<Oid> Insert(std::span<const uint8_t> bytes,
                      Oid placement_hint = kInvalidOid);
 
-  /// Re-registers a previously allocated (since deleted) \p oid with the
-  /// given bytes. Used by transaction rollback to restore the pre-image of
-  /// an object the aborting transaction deleted. AlreadyExists if \p oid
-  /// is live.
+  /// Draws the next oid of the allocation progression without storing an
+  /// object; InsertWithOid stores it later. A transactional create locks
+  /// the oid in between, so no other thread can find the object before
+  /// its creator holds it.
+  Oid AllocateOid() {
+    return next_oid_.fetch_add(oid_stride_, std::memory_order_relaxed);
+  }
+
+  /// Registers \p oid — drawn by AllocateOid, or previously allocated and
+  /// since deleted — with the given bytes. Used by a transactional create
+  /// and by transaction rollback to restore the pre-image of an object the
+  /// aborting transaction deleted. AlreadyExists if \p oid is live.
   Status InsertWithOid(Oid oid, std::span<const uint8_t> bytes);
 
   /// Copies the object's bytes into \p out (under the page's shared

@@ -76,15 +76,6 @@ struct StorageOptions {
   /// Simulated latency charged per page write, in nanoseconds.
   uint64_t write_latency_nanos = 10'000'000;
 
-  /// Simulated latency of forcing a commit record durable (a WAL
-  /// fsync), charged once per *commit batch* on the group-commit
-  /// pipeline — the cost group commit classically amortizes: N
-  /// transactions sharing one batch pay one force instead of N.
-  /// Default 0 keeps the seed's commit path free (the paper's protocol
-  /// has no logging component); bench_multiclient's group-commit
-  /// section sets ~1 ms (a sequential log write on the 1998 disk).
-  uint64_t commit_log_force_nanos = 0;
-
   /// Number of background I/O worker threads servicing asynchronous
   /// StartRead/StartWrite submissions (DiskSim's issue/await path). 0 (the
   /// default) executes every submission inline on the calling thread — the
@@ -128,7 +119,7 @@ struct StorageOptions {
   /// loadable checkpoint snapshot. Under ShardedDatabase this is a base
   /// path: shard k logs to "<wal_path>.shard<k>" and the coordinator's
   /// commit markers go to "<wal_path>.coord". Empty (the default) keeps
-  /// durability purely simulated via commit_log_force_nanos.
+  /// no log: commits are not durable.
   std::string wal_path;
 
   /// If non-zero, the WAL rotates to a fresh segment once the active file

@@ -1,8 +1,9 @@
 // Group-commit tests: deterministic leader–follower batch formation at
 // the CommitPipeline level, semantic equivalence of grouped commits on a
 // Database (every member gets its own consecutive timestamp; snapshots
-// see whole transactions), concurrent-session durability, and 2PC batch
-// atomicity under an abort injected mid-batch on the sharded engine.
+// see whole transactions), concurrent-session durability, one real WAL
+// fsync per writer batch, and 2PC batch atomicity under an abort
+// injected mid-batch on the sharded engine.
 
 #include "concurrency/commit_pipeline.h"
 
@@ -11,13 +12,16 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "engine/session.h"
 #include "oodb/database.h"
 #include "sharding/sharded_database.h"
+#include "wal/wal_writer.h"
 
 namespace ocb {
 namespace {
@@ -126,8 +130,8 @@ TEST(CommitPipelineTest, MaxBatchOneDegradesToPerTransactionCommits) {
         }
         EXPECT_EQ(batch.size(), 1u);
         for (CommitPipeline::Request* r : batch) r->status = Status::OK();
-      });
-  pipeline.set_max_batch(1);
+      },
+      /*max_batch=*/1);
 
   int h1 = 1, h2 = 2, h3 = 3;
   std::thread leader([&]() { EXPECT_TRUE(pipeline.Submit(&h1).ok()); });
@@ -230,6 +234,61 @@ TEST(GroupCommitTest, ConcurrentSessionCommitsAreAllDurable) {
               targets[static_cast<size_t>(t)]);
   }
   EXPECT_EQ(db.lock_manager()->locked_object_count(), 0u);
+}
+
+TEST(GroupCommitTest, RealWalForcesOncePerWriterBatch) {
+  // Group commit's payoff on the real WAL: however the storm's commits
+  // coalesce, the leader issues ONE fsync per batch. Every commit must
+  // really write (a SetReference that rewrites the same value leaves no
+  // undo record, and a writeless batch forces nothing), so each flips
+  // slot 0 of its thread's own source between a target and kInvalidOid.
+  const std::string wal = testing::TempDir() + "/ocb_group_commit_test.wal";
+  std::remove(wal.c_str());
+  StorageOptions opts = TestOptions();
+  opts.wal_path = wal;
+  {
+    Database db(opts);
+    db.SetSchema(TwoClassSchema());
+    ASSERT_TRUE(db.wal_enabled());
+    constexpr int kThreads = 6;
+    constexpr int kTxnsPerThread = 20;
+    std::vector<Oid> sources;
+    std::vector<Oid> targets;
+    for (int t = 0; t < kThreads; ++t) {
+      sources.push_back(*db.CreateObject(0));
+      targets.push_back(*db.CreateObject(1));
+    }
+    const uint64_t forces_before = db.wal()->forces();
+    const GroupCommitStats before = db.group_commit_stats();
+
+    std::atomic<bool> failed{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t]() {
+        auto session = db.OpenSession();
+        for (int i = 0; i < kTxnsPerThread; ++i) {
+          auto txn = session.Begin();
+          const Oid to =
+              i % 2 == 0 ? targets[static_cast<size_t>(t)] : kInvalidOid;
+          if (!txn.SetReference(sources[static_cast<size_t>(t)], 0, to)
+                   .ok() ||
+              !txn.Commit().ok()) {
+            failed = true;
+            return;
+          }
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    ASSERT_FALSE(failed);
+
+    const GroupCommitStats after = db.group_commit_stats();
+    EXPECT_EQ(after.commits - before.commits,
+              static_cast<uint64_t>(kThreads) * kTxnsPerThread);
+    EXPECT_EQ(db.wal()->forces() - forces_before,
+              after.batches - before.batches);
+  }
+  std::remove(wal.c_str());
 }
 
 TEST(GroupCommitTest, InjectedAbortMidBatchKillsOnlyThatMember) {

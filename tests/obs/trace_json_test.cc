@@ -2,11 +2,14 @@
 /// \brief End-to-end trace validation: run real transactions against a
 ///        Database with the recorder on, Dump() the ring to a file, parse
 ///        it back (mini_json), and assert the Chrome-trace-event structure
-///        the viewer relies on — mandatory fields, and nesting-by-
-///        containment of the engine spans inside their transaction span.
+///        the viewer relies on — mandatory fields, nesting-by-containment
+///        of the engine spans inside their transaction span, and the
+///        OCB_TRACE environment route over a multi-client run.
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,6 +20,7 @@
 #include "mini_json.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
+#include "ocb/client.h"
 #include "ocb/generator.h"
 #include "ocb/presets.h"
 
@@ -54,6 +58,18 @@ std::vector<Span> CompleteSpans(const Value& doc) {
 bool NestsInside(const Span& inner, const Span& outer) {
   return inner.tid == outer.tid && outer.ts <= inner.ts &&
          inner.ts + inner.dur <= outer.ts + outer.dur;
+}
+
+std::set<double> TxnTids(const std::string& json) {
+  std::string error;
+  const auto doc = ParseJson(json, &error);
+  EXPECT_NE(doc, nullptr) << error;
+  std::set<double> tids;
+  if (doc == nullptr) return tids;
+  for (const Span& s : CompleteSpans(*doc)) {
+    if (s.name == "txn") tids.insert(s.tid);
+  }
+  return tids;
 }
 
 TEST(TraceJsonTest, CommitSpansNestInsideTransactionSpan) {
@@ -172,6 +188,46 @@ TEST(TraceJsonTest, ReadOnlySnapshotTransactionCarriesRoArg) {
     if (ro_arg != nullptr && ro_arg->number == 1.0) found_ro_txn = true;
   }
   EXPECT_TRUE(found_ro_txn) << "no read-only txn span with ro=1 arg";
+}
+
+TEST(TraceJsonTest, EnvironmentRouteDumpsEveryClientsTxnSpans) {
+  // The OCB_TRACE route: InitFromEnvironment turns the recorder on,
+  // every client thread of a multi-client run records its transactions,
+  // and DumpToEnvPath writes them to the named file.
+  obs::SetEnabled(true);
+  Database db{StorageOptions{}};
+  OcbPreset preset = presets::Default();
+  preset.database.num_objects = 200;
+  preset.database.seed = 13;
+  ASSERT_TRUE(GenerateDatabase(preset.database, &db).ok());
+
+  const std::string path = testing::TempDir() + "/ocb_trace_env_test.json";
+  ASSERT_EQ(setenv("OCB_TRACE", path.c_str(), 1), 0);
+  auto& rec = TraceRecorder::Global();
+  // Trace ids are never reused, so the clients' ids are the ones absent
+  // from what earlier cases left in the ring.
+  const std::set<double> earlier = TxnTids(rec.ToJson());
+  ASSERT_TRUE(TraceRecorder::InitFromEnvironment());
+  preset.workload.client_count = 2;
+  preset.workload.cold_transactions = 5;
+  preset.workload.hot_transactions = 20;
+  auto report = RunMultiClient(&db, preset.workload);
+  const std::string written = TraceRecorder::DumpToEnvPath();
+  rec.Disable();
+  unsetenv("OCB_TRACE");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(written, path);
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good());
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  std::remove(path.c_str());
+  size_t client_tids = 0;
+  for (double tid : TxnTids(buffer.str())) {
+    if (!earlier.count(tid)) ++client_tids;
+  }
+  EXPECT_GE(client_tids, 2u) << "txn spans missing from a client thread";
 }
 
 }  // namespace

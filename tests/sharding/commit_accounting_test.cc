@@ -1,18 +1,11 @@
-// Commit-log force accounting on the sharded deployment. The simulated
-// force (StorageOptions::commit_log_force_nanos) must be charged exactly
-// once per commit BATCH — never skipped for cross-shard (2PC) commits,
-// never double-charged when the real WAL is on — and with real durability
-// a cross-shard batch issues exactly one coordinator-side fsync.
-//
-// Latencies are zeroed except the force, so SimNowNanos deltas count
-// forces directly.
+// Commit-log force accounting on the sharded deployment: with the real
+// WAL on, a cross-shard (2PC) commit issues exactly one coordinator-side
+// fsync — the marker force that is its on-disk commit point.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "engine/session.h"
 #include "sharding/cross_shard_coordinator.h"
@@ -23,7 +16,6 @@
 namespace ocb {
 namespace {
 
-constexpr uint64_t kForce = 1'000'000;  // 1 ms per simulated log force.
 constexpr uint32_t kShards = 4;
 
 StorageOptions AccountingOptions() {
@@ -32,7 +24,6 @@ StorageOptions AccountingOptions() {
   opts.buffer_pool_pages = 64;
   opts.read_latency_nanos = 0;
   opts.write_latency_nanos = 0;
-  opts.commit_log_force_nanos = kForce;
   return opts;
 }
 
@@ -60,51 +51,10 @@ void CommitCreates(ShardedDatabase* db, int creates) {
   ASSERT_TRUE(txn.Commit().ok());
 }
 
-TEST(CommitAccountingTest, FastPathCommitsChargeOneForceEach) {
-  ShardedDatabase db(AccountingOptions(), kShards);
-  db.SetSchema(OneClassSchema());
-  const uint64_t before = db.SimNowNanos();
-  for (int i = 0; i < 5; ++i) CommitCreates(&db, 1);
-  EXPECT_EQ(db.SimNowNanos() - before, 5 * kForce);
-}
-
-TEST(CommitAccountingTest, CrossShardCommitsChargeOneForceEach) {
-  // Regression: a 2PC commit writes a commit record like any other — its
-  // simulated force must not be skipped just because the write is
-  // coordinated.
-  ShardedDatabase db(AccountingOptions(), kShards);
-  db.SetSchema(OneClassSchema());
-  const uint64_t before = db.SimNowNanos();
-  for (int i = 0; i < 5; ++i) CommitCreates(&db, 2);
-  EXPECT_EQ(db.SimNowNanos() - before, 5 * kForce);
-}
-
-TEST(CommitAccountingTest, ConcurrentBatchesChargeExactlyOncePerBatch) {
-  // Under the group-commit pipeline the charge amortizes with the batch:
-  // however the storm's commits coalesce, total charged time is exactly
-  // batches-formed times the force latency.
-  ShardedDatabase db(AccountingOptions(), kShards);
-  db.SetSchema(OneClassSchema());
-  const uint64_t before = db.SimNowNanos();
-  const uint64_t batches_before = db.group_commit_stats().batches;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < 6; ++t) {
-    workers.emplace_back([&db]() {
-      for (int i = 0; i < 10; ++i) CommitCreates(&db, 2);
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  const uint64_t batches = db.group_commit_stats().batches - batches_before;
-  EXPECT_GE(batches, 1u);
-  EXPECT_LE(batches, 60u);
-  EXPECT_EQ(db.SimNowNanos() - before, batches * kForce);
-}
-
 TEST(CommitAccountingTest, RealWalCrossShardBatchForcesCoordinatorOnce) {
-  // With the real WAL on, a cross-shard batch's coordinator log sees
-  // exactly ONE fsync (the marker force before the ack) — participant
-  // shard logs are forced separately, and the simulated charge stays one
-  // per batch (no double-charging next to the real fsyncs).
+  // A cross-shard batch's coordinator log sees exactly ONE fsync (the
+  // marker force before the ack); participant shard logs are forced
+  // separately.
   const std::string wal =
       testing::TempDir() + "/ocb_commit_accounting_test.wal";
   StorageOptions opts = AccountingOptions();
@@ -113,9 +63,7 @@ TEST(CommitAccountingTest, RealWalCrossShardBatchForcesCoordinatorOnce) {
     ShardedDatabase db(opts, kShards);
     db.SetSchema(OneClassSchema());
     ASSERT_TRUE(db.wal_enabled());
-    const uint64_t before = db.SimNowNanos();
     for (int i = 0; i < 5; ++i) CommitCreates(&db, 2);
-    EXPECT_EQ(db.SimNowNanos() - before, 5 * kForce);
     EXPECT_EQ(db.coordinator()->coord_wal()->forces(), 5u);
   }
   std::remove((wal + ".coord").c_str());
