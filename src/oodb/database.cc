@@ -86,18 +86,13 @@ void Database::RegisterObsCallbacks() {
   reg.Register("db.disk.writes", [this] {
     return disk_->TotalCounters().writes.load(std::memory_order_relaxed);
   });
-  // Async-I/O overlap accounting: serial is what a fully serialized
+  // Batched-read overlap accounting: serial is what a fully serialized
   // execution would have charged the sim clock, charged is what actually
-  // was charged (serial/charged = overlap ratio); pending/peak expose the
-  // background write-back queue.
+  // was charged (serial/charged = overlap ratio).
   reg.Register("db.io.serial_nanos",
                [this] { return disk_->serial_io_nanos(); });
   reg.Register("db.io.charged_nanos",
                [this] { return disk_->charged_io_nanos(); });
-  reg.Register("db.io.pending_writebacks",
-               [this] { return pool_->pending_writebacks(); });
-  reg.Register("db.io.writeback_peak_depth",
-               [this] { return pool_->writeback_peak_depth(); });
   reg.Register("db.store.objects", [this] {
     return store_->stats().objects.load(std::memory_order_relaxed);
   });

@@ -505,8 +505,7 @@ class Database {
   /// Aggregate object-store placement statistics.
   ObjectStoreStats StoreStats() const { return store_->stats(); }
 
-  /// Writes every dirty page back (generation epilogue). Drains the
-  /// background write-back queue first.
+  /// Writes every dirty page back (generation epilogue).
   Status FlushPools() { return pool_->FlushAll(); }
 
   /// Advisory batch cache-warm for an upcoming multi-object read:

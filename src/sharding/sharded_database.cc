@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "oodb/snapshot.h"
-#include "storage/io_backend.h"
 #include "util/format.h"
 #include "wal/wal_writer.h"
 
@@ -35,12 +34,6 @@ ShardedDatabase::ShardedDatabase(const StorageOptions& base,
   per.lock_wait_timeout_nanos =
       std::min<uint64_t>(base.lock_wait_timeout_nanos,
                          kShardLockTimeoutNanos);
-  // One I/O worker group for the whole deployment: each shard's DiskSim
-  // submits to the shared backend instead of spawning io_workers threads
-  // per shard (N shards would otherwise mean N * io_workers threads).
-  if (base.io_workers > 0 && per.io_backend == nullptr) {
-    per.io_backend = std::make_shared<IoBackend>(base.io_workers);
-  }
   shards_.reserve(n);
   std::vector<Database*> raw;
   for (uint32_t k = 0; k < n; ++k) {

@@ -240,8 +240,7 @@ class ShardedDatabase {
 
   /// Advisory batch cache-warm (see Database::PrefetchObjects):
   /// partitions \p oids by owning shard and issues each shard's misses as
-  /// one overlapped batch. Every shard's pool shares the deployment's one
-  /// I/O worker group, so the batches overlap across shards too.
+  /// one overlapped batch.
   Status PrefetchObjects(std::span<const Oid> oids);
 
   const StorageOptions& options() const { return base_options_; }

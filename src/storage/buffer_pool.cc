@@ -14,7 +14,7 @@ namespace {
 // Stripe count: explicit option wins; otherwise pools of >= 64 frames get
 // the build-time default (OCB_LATCH_STRIPES, 8 unless overridden) and
 // smaller pools stay single-striped so the seed's exact global LRU order is
-// preserved for the replacement-policy ablations and their tests. When the
+// preserved for small-pool experiments and their tests. When the
 // build pins OCB_LATCH_STRIPES it also caps explicit requests — that is
 // what the -DOCB_LATCH_STRIPES=1 CI configuration uses to prove correctness
 // does not depend on striping.
@@ -129,11 +129,9 @@ BufferPool::BufferPool(DiskSim* disk, const StorageOptions& options)
     Stripe& stripe = *stripes_[(i - 1) % stripe_count];
     stripe.free_frames.push_back(i - 1);
   }
-  for (size_t i = 0; i < frame_count_; ++i) {
-    stripes_[i % stripe_count]->owned_frames.push_back(i);
-  }
+  // Every frame starts free, so free_frames holds the stripe's frame count.
   for (auto& stripe : stripes_) {
-    stripe->spare_entries.reserve(stripe->owned_frames.size());
+    stripe->spare_entries.reserve(stripe->free_frames.size());
   }
   // Resolve the latch-wait instruments now, with no lock held. The first
   // lookup takes the metrics-registry mutex, which ranks above every
@@ -208,11 +206,6 @@ void BufferPool::BeginQuiesce() OCB_NO_THREAD_SAFETY_ANALYSIS {
   quiesce_cv_.wait(lock, [&] {
     return total_pins_.load(std::memory_order_seq_cst) == 0;
   });
-  // With every pin drained and the gate closed, settle the background
-  // write-back queue too: the quiesce owner (snapshot save/load, cold
-  // restart) expects all physical I/O at rest. The awaits only block on
-  // the I/O workers, which never take pool mutexes.
-  DrainWritebacks();
 }
 
 void BufferPool::EndQuiesce() {
@@ -249,7 +242,6 @@ PendingFetch BufferPool::StartFetch(PageId page_id, LatchMode mode)
       const size_t frame_index = it->second;
       Frame& frame = frames_[frame_index];
       frame.pin_count.fetch_add(1, std::memory_order_relaxed);
-      frame.referenced = true;
       TouchLru(stripe, frame_index);
       fetch.pool_ = this;
       fetch.frame_index_ = frame_index;
@@ -272,30 +264,16 @@ PendingFetch BufferPool::StartFetch(PageId page_id, LatchMode mode)
     frame.page_id = page_id;
     frame.latch.SetLockdepKey(page_id);
     frame.dirty = false;
-    frame.referenced = true;
     frame.pin_count.fetch_add(1, std::memory_order_relaxed);
     InstallEntry(stripe, page_id, frame_index);
     fetch.pool_ = this;
     fetch.frame_index_ = frame_index;
     fetch.miss_ = true;
-    // If this page's previous dirty image is still on the write-back
-    // queue, retire that write before re-reading — per-page write→read
-    // order is the pool's contract with DiskSim.
-    Status settled = SettleWriteback(stripe, page_id);
-    if (!settled.ok()) {
-      lock.unlock();
-      UninstallFailedMiss(frame_index, page_id);
-      fetch.pool_ = nullptr;
-      fetch.issue_status_ = settled;
-      return fetch;
-    }
   }
-  // Miss I/O is *issued* outside the stripe mutex, under the frame's X
-  // latch (held since ClaimFrame): concurrent fetchers of this page pin
-  // the frame and block on the latch until Await installs the bytes,
-  // while the rest of the stripe stays available. The span covers the
-  // inline execution in blocking mode and just the submission with I/O
-  // workers (the wait lands in the "io.wait" histogram).
+  // Miss I/O is issued outside the stripe mutex, under the frame's X latch
+  // (held since ClaimFrame): concurrent fetchers of this page pin the frame
+  // and block on the latch until Await hands the page over, while the rest
+  // of the stripe stays available. The span covers the read's byte copy.
   {
     obs::TraceSpan io_span("io.miss", "page", page_id);
     fetch.ticket_ =
@@ -366,7 +344,7 @@ Status BufferPool::FetchMany(std::span<const PageId> page_ids) {
   obs::TraceSpan batch_span("io.batch", "pages",
                             static_cast<uint64_t>(pages.size()));
   // Issue the misses of a chunk before awaiting any. FinishPrefetch
-  // releases each page (latch + pin) as soon as its read lands, so this
+  // releases each page (latch + pin) as soon as it awaits its read, so this
   // loop never blocks on a page latch while holding another — no
   // latch-order hazard regardless of what other threads hold. Chunking
   // bounds the pins a batch holds at once: in the worst case every page
@@ -433,7 +411,6 @@ void BufferPool::UninstallFailedMiss(size_t frame_index, PageId page_id)
     MutexLock lock(stripe.mu);
     RetireEntry(stripe, frame_index);
     frame.page_id = kInvalidPageId;
-    frame.referenced = false;
     stripe.free_frames.push_back(frame_index);
   }
   frame.latch.unlock();
@@ -467,7 +444,6 @@ Result<PageHandle> BufferPool::NewPage(PageId* out_page_id)
   frame.page_id = page_id;
   frame.latch.SetLockdepKey(page_id);
   frame.dirty = true;
-  frame.referenced = true;
   frame.pin_count.fetch_add(1, std::memory_order_relaxed);
   InstallEntry(stripe, page_id, frame_index);
   return PageHandle(this, frame_index, frame.data.get(), options_.page_size,
@@ -477,11 +453,6 @@ Result<PageHandle> BufferPool::NewPage(PageId* out_page_id)
 // TSA exemption: frame latches are acquired and released across loop
 // arms with early-error returns; lockdep tracks each pair.
 Status BufferPool::FlushAll() OCB_NO_THREAD_SAFETY_ANALYSIS {
-  // Settle the background write-back queue first: FlushAll is a
-  // durability-ordering point (snapshot save, checkpoint, cold restart)
-  // and must leave the DiskSim holding every image the pool has retired.
-  Status drained = DrainWritebacks();
-  if (!drained.ok()) return drained;
   for (auto& stripe_ptr : stripes_) {
     Stripe& stripe = *stripe_ptr;
     std::vector<std::pair<size_t, PageId>> resident;
@@ -538,9 +509,7 @@ Status BufferPool::InvalidateAll() OCB_NO_THREAD_SAFETY_ANALYSIS {
       stripe.free_frames.push_back(frame_index);
     }
   }
-  // Evicting dirty frames above may have queued background write-backs;
-  // leave the disk settled (benchmarks read raw pages right after).
-  return DrainWritebacks();
+  return Status::OK();
 }
 
 size_t BufferPool::pinned_frames() const {
@@ -575,132 +544,39 @@ Result<size_t> BufferPool::ClaimFrame(Stripe& stripe)
                              static_cast<ptrdiff_t>(i - 1));
     return frame_index;
   }
-  switch (options_.replacement_policy) {
-    case ReplacementPolicy::kLru:
-    case ReplacementPolicy::kFifo: {
-      // LRU: the back of the list is least recently used. FIFO: TouchLru is
-      // a no-op on hits, so the back is the oldest resident page. Pinned or
-      // latched frames are skipped (try_lock never blocks while we hold the
-      // stripe mutex — a latch holder may be waiting for it).
-      for (auto it = stripe.lru.rbegin(); it != stripe.lru.rend(); ++it) {
-        Frame& frame = frames_[*it];
-        if (frame.pin_count.load(std::memory_order_relaxed) != 0) continue;
-        if (!frame.latch.try_lock()) continue;
-        const size_t victim = *it;
-        Status evicted = EvictFrame(stripe, victim);
-        if (!evicted.ok()) {
-          frame.latch.unlock();
-          return evicted;
-        }
-        return victim;
-      }
-      break;
+  // The back of the list is least recently used. Pinned or latched frames
+  // are skipped (try_lock never blocks while we hold the stripe mutex — a
+  // latch holder may be waiting for it).
+  for (auto it = stripe.lru.rbegin(); it != stripe.lru.rend(); ++it) {
+    Frame& frame = frames_[*it];
+    if (frame.pin_count.load(std::memory_order_relaxed) != 0) continue;
+    if (!frame.latch.try_lock()) continue;
+    const size_t victim = *it;
+    Status evicted = EvictFrame(stripe, victim);
+    if (!evicted.ok()) {
+      frame.latch.unlock();
+      return evicted;
     }
-    case ReplacementPolicy::kClock: {
-      const size_t owned = stripe.owned_frames.size();
-      for (size_t sweep = 0; sweep < 2 * owned; ++sweep) {
-        const size_t frame_index = stripe.owned_frames[stripe.clock_pos];
-        stripe.clock_pos = (stripe.clock_pos + 1) % owned;
-        Frame& frame = frames_[frame_index];
-        if (frame.page_id == kInvalidPageId) continue;
-        if (frame.pin_count.load(std::memory_order_relaxed) != 0) continue;
-        if (frame.referenced) {
-          frame.referenced = false;
-          continue;
-        }
-        if (!frame.latch.try_lock()) continue;
-        Status evicted = EvictFrame(stripe, frame_index);
-        if (!evicted.ok()) {
-          frame.latch.unlock();
-          return evicted;
-        }
-        return frame_index;
-      }
-      break;
-    }
+    return victim;
   }
   return Status::NoSpace("all buffer-pool frames of the stripe are pinned");
 }
 
 Status BufferPool::EvictFrame(Stripe& stripe, size_t frame_index) {
-  // Requires stripe.mu and the frame latch. Inline mode: the victim's
-  // writeback completes under the stripe mutex, so a concurrent re-fetch
-  // of the page (same stripe by construction) serializes behind the
-  // finished write. Async mode: the dirty image is donated to the
-  // write-back queue and the frame is reusable immediately; the re-fetch
-  // serializes through SettleWriteback instead.
+  // Requires stripe.mu and the frame latch. The victim's writeback
+  // completes under the stripe mutex, so a concurrent re-fetch of the page
+  // (same stripe by construction) serializes behind the finished write.
   Frame& frame = frames_[frame_index];
   if (frame.dirty) {
-    if (disk_->async_enabled()) {
-      // Any failure must leave the frame resident (ClaimFrame's error
-      // contract), so both awaits happen before the frame is touched:
-      // the page's previous queued write (per-page order), then the
-      // throttle when the stripe's queue is at depth.
-      Status settled = SettleWriteback(stripe, frame.page_id);
-      if (!settled.ok()) return settled;
-      while (stripe.writebacks.size() >= options_.writeback_queue_depth &&
-             !stripe.writebacks.empty()) {
-        auto oldest = stripe.writebacks.begin();
-        IoTicket ticket = std::move(oldest->second);
-        stripe.writebacks.erase(oldest);
-        writeback_pending_.fetch_sub(1, std::memory_order_relaxed);
-        Status retired = disk_->Await(ticket);
-        if (!retired.ok()) return retired;
-      }
-      IoTicket ticket =
-          disk_->StartWrite(frame.page_id, std::move(frame.data));
-      stripe.writebacks.emplace(frame.page_id, std::move(ticket));
-      const uint64_t depth =
-          writeback_pending_.fetch_add(1, std::memory_order_relaxed) + 1;
-      uint64_t peak = writeback_peak_.load(std::memory_order_relaxed);
-      while (peak < depth &&
-             !writeback_peak_.compare_exchange_weak(
-                 peak, depth, std::memory_order_relaxed)) {
-      }
-    } else {
-      Status written = disk_->WritePage(frame.page_id, frame.data.get());
-      if (!written.ok()) return written;
-    }
+    Status written = disk_->WritePage(frame.page_id, frame.data.get());
+    if (!written.ok()) return written;
     stats_.dirty_writebacks.fetch_add(1, std::memory_order_relaxed);
   }
   stats_.evictions.fetch_add(1, std::memory_order_relaxed);
   RetireEntry(stripe, frame_index);
   frame.page_id = kInvalidPageId;
   frame.dirty = false;
-  frame.referenced = false;
   return Status::OK();
-}
-
-Status BufferPool::SettleWriteback(Stripe& stripe, PageId page_id) {
-  auto it = stripe.writebacks.find(page_id);
-  if (it == stripe.writebacks.end()) return Status::OK();
-  IoTicket ticket = std::move(it->second);
-  stripe.writebacks.erase(it);
-  writeback_pending_.fetch_sub(1, std::memory_order_relaxed);
-  return disk_->Await(ticket);
-}
-
-Status BufferPool::DrainWritebacks() {
-  Status first_error;
-  for (auto& stripe_ptr : stripes_) {
-    Stripe& stripe = *stripe_ptr;
-    std::vector<IoTicket> tickets;
-    {
-      MutexLock lock(stripe.mu);
-      tickets.reserve(stripe.writebacks.size());
-      for (auto& [pid, ticket] : stripe.writebacks) {
-        tickets.push_back(std::move(ticket));
-      }
-      writeback_pending_.fetch_sub(stripe.writebacks.size(),
-                                   std::memory_order_relaxed);
-      stripe.writebacks.clear();
-    }
-    for (IoTicket& ticket : tickets) {
-      Status retired = disk_->Await(ticket);
-      if (!retired.ok() && first_error.ok()) first_error = retired;
-    }
-  }
-  return first_error;
 }
 
 // TSA exemption: conditionally releases a latch acquired by another
@@ -722,7 +598,6 @@ void BufferPool::Unpin(size_t frame_index, LatchMode mode,
 }
 
 void BufferPool::TouchLru(Stripe& stripe, size_t frame_index) {
-  if (options_.replacement_policy == ReplacementPolicy::kFifo) return;
   // splice relinks the node in place: lru_pos stays valid.
   stripe.lru.splice(stripe.lru.begin(), stripe.lru,
                     frames_[frame_index].lru_pos);

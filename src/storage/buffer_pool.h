@@ -10,13 +10,13 @@
 ///
 ///   * The page table is *striped*: page p belongs to stripe p % N, each
 ///     stripe with its own mutex, its own share of the frames, and its own
-///     LRU/Clock/FIFO replacement state. A miss (victim writeback + disk
-///     read) in one stripe never blocks hits or misses in another, so
-///     CLIENTN clients overlap their physical I/O instead of convoying on
-///     one pool-wide latch. N defaults to 1 for small pools (< 64 frames,
-///     preserving exact single-list LRU order for ablations) and to
-///     OCB_LATCH_STRIPES (8 unless overridden at build time) otherwise;
-///     StorageOptions::latch_stripes pins it explicitly.
+///     LRU list. A miss (victim writeback + disk read) in one stripe never
+///     blocks hits or misses in another, so CLIENTN clients overlap their
+///     physical I/O instead of convoying on one pool-wide latch. N
+///     defaults to 1 for small pools (< 64 frames, preserving exact
+///     single-list LRU order) and to OCB_LATCH_STRIPES (8 unless
+///     overridden at build time) otherwise; StorageOptions::latch_stripes
+///     pins it explicitly.
 ///   * Every frame carries a reader/writer *page latch* and an atomic pin
 ///     count. FetchPage/NewPage return a PageHandle that holds the frame
 ///     pinned (pin blocks eviction) and latched in the requested LatchMode:
@@ -40,24 +40,21 @@
 /// is pinned once BeginQuiesce has returned. Database::QuiesceGuard is the
 /// intended entry point.
 ///
-/// Asynchronous I/O (issue/await): StartFetch() performs the table lookup
-/// and, on a miss, claims + installs the frame and *issues* the disk read
-/// without waiting for it; Await() blocks on the completion, downgrades to
-/// the requested latch mode, and returns the handle. FetchPage is exactly
-/// Await(StartFetch(...)) — the blocking contract is unchanged. A pending
-/// frame is X-latched by the issuing thread for the whole issue→await
-/// window, so concurrent fetchers pin and block on the latch precisely as
-/// they do for a blocking miss. FetchMany() is the multi-miss batch form:
-/// it issues every miss before awaiting any, then *releases* each page
-/// (latch and pin) as its read lands — pure cache warming, so it never
-/// blocks on a latch while holding another and is deadlock-free under any
-/// interleaving with the ascending-page-id multi-handle rule. Dirty-victim
-/// write-back is asynchronous too when the DiskSim has I/O workers:
-/// eviction moves the dirty image into a per-stripe write-back queue
-/// (DiskSim::StartWrite) and reuses the frame immediately; a later miss on
-/// a queued page awaits its write before re-reading, and FlushAll /
-/// BeginQuiesce / InvalidateAll drain the queue so snapshot/checkpoint
-/// durability ordering is untouched.
+/// Batched page reads (issue/await): StartFetch() performs the table lookup
+/// and, on a miss, claims + installs the frame and issues the disk read
+/// (DiskSim::StartRead, which moves the bytes inline and stamps the read's
+/// simulated completion instant); Await() charges that instant to the
+/// clock, downgrades to the requested latch mode, and returns the handle.
+/// FetchPage is exactly Await(StartFetch(...)). A pending frame is
+/// X-latched by the issuing thread for the whole issue→await window, so
+/// concurrent fetchers pin and block on the latch precisely as they do for
+/// a blocking miss. FetchMany() is the multi-miss batch form: it issues
+/// every miss before awaiting any, so the batch costs one device latency
+/// of simulated time, then *releases* each page (latch and pin). It is
+/// pure cache warming: it never blocks on a latch while holding another
+/// and is deadlock-free under any interleaving with the ascending-page-id
+/// multi-handle rule. A dirty victim is written back by the miss that
+/// evicts it, under the stripe mutex.
 
 #ifndef OCB_STORAGE_BUFFER_POOL_H_
 #define OCB_STORAGE_BUFFER_POOL_H_
@@ -127,8 +124,8 @@ class PageHandle {
   LatchMode mode_ = LatchMode::kExclusive;
 };
 
-/// \brief An issued-but-not-awaited page fetch (the async half-open state
-/// between StartFetch and Await).
+/// \brief An issued-but-not-awaited page fetch (the half-open state between
+/// StartFetch and Await).
 ///
 /// Move-only. The owning thread must resolve it with BufferPool::Await on
 /// the same thread that issued it (a pending miss holds the frame's X
@@ -206,7 +203,7 @@ struct BufferPoolStats {
   }
 };
 
-/// \brief Striped LRU/Clock/FIFO page cache over a DiskSim.
+/// \brief Striped LRU page cache over a DiskSim.
 ///
 /// Thread-safe: concurrent FetchPage/NewPage/handle-release from any number
 /// of threads. FlushAll/InvalidateAll/ResetStats are safe but intended for
@@ -221,32 +218,34 @@ class BufferPool {
   /// Returns a pinned handle to \p page_id latched in \p mode, reading the
   /// page from disk on a miss. kShared handles of one page coexist; a
   /// kExclusive handle waits out every other handle of that page.
-  /// Blocking wrapper over the issue/await pair below.
+  /// Await(StartFetch(...)).
   Result<PageHandle> FetchPage(PageId page_id,
                                LatchMode mode = LatchMode::kExclusive);
 
-  /// Issues a fetch of \p page_id without waiting for the disk. On a hit
-  /// the page is pinned (not yet latched); on a miss the frame is claimed,
-  /// installed and X-latched, and the read is submitted to the DiskSim —
-  /// outside the stripe mutex. Resolve with Await on the same thread.
+  /// Issues a fetch of \p page_id without charging the read's latency to
+  /// the clock. On a hit the page is pinned (not yet latched); on a miss
+  /// the frame is claimed, installed and X-latched, and the read is issued
+  /// to the DiskSim — outside the stripe mutex. Resolve with Await on the
+  /// same thread.
   /// When issuing fails (e.g. all frames pinned), the returned object is
   /// !pending() and carries issue_status().
   PendingFetch StartFetch(PageId page_id,
                           LatchMode mode = LatchMode::kExclusive);
 
-  /// Completes \p fetch: waits for the miss read (if any), acquires the
+  /// Completes \p fetch: awaits the miss read (if any), acquires the
   /// requested latch mode, and returns the pinned handle. Retries
   /// internally if the frame was retired under us by a failed install.
   Result<PageHandle> Await(PendingFetch fetch);
 
   /// Multi-miss batch prefetch: issues the disk read for *every* missing
-  /// page of \p page_ids (deduplicated, ascending) before awaiting any,
-  /// then releases each page as its read lands — on return the pages are
-  /// resident but unpinned, so subsequent FetchPage calls hit. Never
-  /// blocks on a page latch, so it is safe to call regardless of what
-  /// other threads hold. Returns the first read error, if any (callers
-  /// treating this as a hint may ignore it; the authoritative error
-  /// surfaces on the later FetchPage).
+  /// page of \p page_ids (deduplicated, ascending; in chunks of at most
+  /// half a stripe's frames) before awaiting any, so the reads overlap in
+  /// simulated time, then releases each page as its read is awaited — on
+  /// return the pages are resident but unpinned, so subsequent FetchPage
+  /// calls hit. Never blocks on a page latch, so it is safe to call
+  /// regardless of what other threads hold. Returns the first read error,
+  /// if any (callers treating this as a hint may ignore it; the
+  /// authoritative error surfaces on the later FetchPage).
   Status FetchMany(std::span<const PageId> page_ids);
 
   /// Allocates a brand-new page on disk and returns it pinned, dirty and
@@ -261,22 +260,7 @@ class BufferPool {
   Status InvalidateAll();
 
   const BufferPoolStats& stats() const { return stats_; }
-  void ResetStats() {
-    stats_ = BufferPoolStats{};
-    writeback_peak_.store(0, std::memory_order_relaxed);
-  }
-
-  /// Dirty-victim write-backs currently in flight on the background queue
-  /// (0 in inline-I/O mode and after any drain point).
-  uint64_t pending_writebacks() const {
-    return writeback_pending_.load(std::memory_order_relaxed);
-  }
-
-  /// High-water mark of the background write-back queue depth since the
-  /// last ResetStats — the bench's "flusher depth".
-  uint64_t writeback_peak_depth() const {
-    return writeback_peak_.load(std::memory_order_relaxed);
-  }
+  void ResetStats() { stats_ = BufferPoolStats{}; }
 
   size_t capacity() const { return frame_count_; }
   size_t pinned_frames() const;
@@ -317,23 +301,19 @@ class BufferPool {
     SharedMutex latch{lockdep::kFrameLatchClass};
     std::atomic<uint32_t> pin_count{0};  ///< Pinned frames are not evicted.
     // The fields below are guarded by the owning stripe's mutex, except
-    // `dirty` (guarded by the frame latch) and `data` (the pointer only
-    // changes under the stripe mutex + frame latch with no pins — an
-    // async dirty eviction donates the buffer to the write-back queue —
-    // so it is stable for as long as any handle pins the frame; the bytes
-    // are guarded by the frame latch).
+    // `dirty` (guarded by the frame latch) and `data` (allocated once, by
+    // the first claim of the frame under the stripe mutex + frame latch,
+    // and stable from then on; the bytes are guarded by the frame latch).
     PageId page_id = kInvalidPageId;
     std::unique_ptr<uint8_t[]> data;
     bool dirty = false;
-    bool referenced = false;  // Clock bit.
     std::list<size_t>::iterator lru_pos;  // Valid iff resident.
   };
 
   /// One page-table shard: pages with page_id % stripes == index live here,
   /// cached in the frames this stripe owns (frame % stripes == index).
-  /// The stripe index is the mutex's lockdep key: multi-stripe sweeps
-  /// (FlushAll, DrainWritebacks, pinned_frames) hold several stripe
-  /// mutexes only in ascending-index order.
+  /// The stripe index is the mutex's lockdep key; no path holds two
+  /// stripe mutexes at once.
   struct Stripe {
     explicit Stripe(size_t index) : mu(lockdep::kBufferStripeClass, index) {}
 
@@ -351,14 +331,6 @@ class BufferPool {
     std::vector<PageTable::node_type> spare_entries OCB_GUARDED_BY(mu);
     std::list<size_t> spare_lru OCB_GUARDED_BY(mu);
     std::vector<size_t> free_frames OCB_GUARDED_BY(mu);
-    /// All frame indices of the stripe (fixed at construction).
-    std::vector<size_t> owned_frames;
-    size_t clock_pos OCB_GUARDED_BY(mu) = 0;  ///< Index into owned_frames.
-    /// In-flight dirty-victim write-backs of this stripe's pages, keyed by
-    /// page id (at most one per page: a re-eviction awaits its
-    /// predecessor). A miss extracts and awaits its page's entry before
-    /// issuing the read, preserving write→read order per page.
-    std::unordered_map<PageId, IoTicket> writebacks OCB_GUARDED_BY(mu);
   };
 
   Stripe& stripe_of(PageId page_id) {
@@ -389,17 +361,6 @@ class BufferPool {
   /// page-table entry. Requires \p stripe.mu and the frame latch.
   Status EvictFrame(Stripe& stripe, size_t frame_index)
       OCB_REQUIRES(stripe.mu);
-
-  /// Awaits and removes \p page_id's pending write-back, if any. Requires
-  /// \p stripe.mu. The await itself blocks only on the I/O worker (which
-  /// never takes stripe mutexes), not on other pool threads.
-  Status SettleWriteback(Stripe& stripe, PageId page_id)
-      OCB_REQUIRES(stripe.mu);
-
-  /// Awaits every queued write-back of every stripe. Called from
-  /// FlushAll/InvalidateAll/BeginQuiesce so durability-ordering points see
-  /// a settled disk.
-  Status DrainWritebacks();
 
   /// Finishes a prefetch-issued page: awaits the miss read (if any) and
   /// releases the page (latch + pin) immediately. Never blocks on a
@@ -433,8 +394,6 @@ class BufferPool {
   std::unique_ptr<Frame[]> frames_;
   std::vector<std::unique_ptr<Stripe>> stripes_;
   BufferPoolStats stats_;
-  std::atomic<uint64_t> writeback_pending_{0};
-  std::atomic<uint64_t> writeback_peak_{0};
 
   // Quiesce gate state. The atomics are the fast-path reads (pin counts,
   // "is anyone quiescing"); owner identity and depth only change under

@@ -6,18 +6,23 @@
 /// SimClock. The paper distinguishes the I/Os needed to execute transactions
 /// from the clustering overhead I/Os (§3.3, metrics): DiskSim therefore
 /// attributes every I/O to the currently active *accounting scope*.
+///
+/// Every I/O runs inline on the caller's thread. A read can still be split
+/// into issue and await: StartRead moves the bytes and stamps the read's
+/// simulated completion instant (issue time + latency); Await advances the
+/// SimClock to that instant. Reads issued before any of them is awaited
+/// therefore overlap in simulated time: N of them cost one device latency,
+/// not N (BufferPool::FetchMany).
 
 #ifndef OCB_STORAGE_DISK_SIM_H_
 #define OCB_STORAGE_DISK_SIM_H_
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
-#include <mutex>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "storage/storage_options.h"
@@ -65,75 +70,31 @@ struct IoCounters {
   }
 };
 
-class DiskSim;
-class IoBackend;
-
-/// \brief One page I/O queued on an IoBackend worker (internal to DiskSim).
+/// \brief Move-only handle to an issued page read.
 ///
-/// Only the worker path builds one. Accounting (counter increment,
-/// simulated completion instant, overlap bookkeeping) happens at
-/// *submission* on the caller's thread, so metric deltas and simulated
-/// time stay deterministic regardless of worker scheduling; the worker
-/// moves the bytes (plus the wall-clock sleep in wall_clock_io mode) and
-/// publishes the result to the awaiting thread through the (mu, cv, done)
-/// completion state. Inline completion (no backend) builds no request.
-struct IoRequest {
-  enum class Kind : uint8_t { kRead, kWrite };
-
-  Kind kind = Kind::kRead;
-  DiskSim* disk = nullptr;
-  PageId page_id = kInvalidPageId;
-  uint8_t* page = nullptr;             ///< The disk's page image.
-  uint8_t* out = nullptr;              ///< Read destination (caller-owned).
-  std::unique_ptr<uint8_t[]> payload;  ///< Write source (request-owned).
-  uint64_t latency_nanos = 0;
-
-  /// Completion state. The issue→await window spans threads and
-  /// functions, so TSA cannot follow it; the mutex still registers with
-  /// lockdep (rank: leaf under the stripe mutexes that await under them).
-  Mutex mu{lockdep::kIoRequestClass};
-  std::condition_variable_any cv;
-  bool done OCB_GUARDED_BY(mu) = false;
-  Status status OCB_GUARDED_BY(mu);
-};
-
-/// \brief Move-only handle to an issued page I/O.
-///
-/// Obtained from DiskSim::StartRead/StartWrite, resolved by
-/// DiskSim::Await. It comes in two shapes with one contract:
-///   * Inline: the disk has no I/O backend, or the request failed at
-///     issue. The I/O already ran on the issuing thread, and the ticket
-///     holds its status and simulated completion instant by value. There
-///     is no heap request and no completion mutex.
-///   * Queued: the ticket owns the IoRequest a worker executes.
-///     Destroying an unawaited queued ticket blocks until the request has
-///     executed (the worker writes through the request's buffers, so the
-///     ticket may never outrun it) and drops the result.
+/// Obtained from DiskSim::StartRead, resolved by DiskSim::Await. The read
+/// already ran on the issuing thread: the ticket is its status plus its
+/// simulated completion instant.
 class IoTicket {
  public:
   IoTicket() = default;
-  ~IoTicket();
-
   IoTicket(IoTicket&& other) noexcept;
   IoTicket& operator=(IoTicket&& other) noexcept;
   IoTicket(const IoTicket&) = delete;
   IoTicket& operator=(const IoTicket&) = delete;
 
   /// False for default-constructed, moved-from and awaited tickets.
-  bool valid() const { return completed_ || req_ != nullptr; }
+  bool valid() const { return valid_; }
 
  private:
   friend class DiskSim;
   IoTicket(Status status, uint64_t complete_sim_nanos)
-      : completed_(true), status_(std::move(status)),
+      : valid_(true), status_(std::move(status)),
         complete_sim_nanos_(complete_sim_nanos) {}
-  IoTicket(std::unique_ptr<IoRequest> req, uint64_t complete_sim_nanos)
-      : req_(std::move(req)), complete_sim_nanos_(complete_sim_nanos) {}
 
-  std::unique_ptr<IoRequest> req_;  ///< Queued: in flight on a worker.
-  bool completed_ = false;          ///< Inline: status_ is the result.
+  bool valid_ = false;
   Status status_;
-  /// Simulated instant the I/O completes (issue time + latency); Await
+  /// Simulated instant the read completes (issue time + latency); Await
   /// advances the SimClock to it. 0 when no clock is attached.
   uint64_t complete_sim_nanos_ = 0;
 };
@@ -145,10 +106,7 @@ class IoTicket {
 /// reads it) and the counters are atomic. Concurrent ReadPage/WritePage of
 /// the *same* page are excluded by the buffer pool's per-frame latches and
 /// per-stripe eviction protocol, never by this class — raw multi-threaded
-/// users must provide the same exclusion themselves. The same contract
-/// extends to the async path: two in-flight requests on one page must be
-/// ordered by the caller (the buffer pool awaits a page's pending
-/// write-back before issuing a read or another write for it).
+/// users must provide the same exclusion themselves.
 class DiskSim {
  public:
   /// \param clock Simulated clock charged for every I/O; may be nullptr to
@@ -164,42 +122,27 @@ class DiskSim {
   PageId AllocatePage();
 
   /// Copies page \p page_id into \p out (page_size bytes). Counts one read.
-  /// Blocking: runs on the caller, like an inline StartRead + Await.
+  /// Equivalent to StartRead followed by Await.
   Status ReadPage(PageId page_id, uint8_t* out);
 
-  /// Overwrites page \p page_id from \p data. Counts one write. Blocking;
-  /// \p data is read in place, never copied to a staging buffer.
+  /// Overwrites page \p page_id from \p data. Counts one write and
+  /// advances the clock by its latency; \p data is read in place, never
+  /// copied to a staging buffer.
   Status WritePage(PageId page_id, const uint8_t* data);
 
-  // --- Asynchronous issue/await path ---
-
-  /// Issues a read of \p page_id into \p out and returns immediately. The
-  /// destination must stay valid (and unread) until Await returns. With
-  /// io workers the byte movement happens on a backend thread; without,
-  /// it happens inline and the ticket comes back already complete.
+  /// Reads \p page_id into \p out, counts the read and stamps its
+  /// simulated completion instant, without advancing the clock. An
+  /// unallocated page fails here, charging nothing; the error surfaces
+  /// from Await.
   IoTicket StartRead(PageId page_id, uint8_t* out);
 
-  /// Issues a write of \p data (ownership transferred; page_size bytes)
-  /// to \p page_id. The buffer is released when the request completes.
-  IoTicket StartWrite(PageId page_id, std::unique_ptr<uint8_t[]> data);
-
-  /// Blocks until \p ticket's request has executed, charges the request's
-  /// simulated completion instant to the clock, records the wall wait in
-  /// the "io.wait" histogram (queued tickets that were not yet done), and
-  /// returns the request's status. The ticket becomes invalid; an invalid
-  /// ticket returns InvalidArgument.
+  /// Advances the clock to \p ticket's completion instant (a no-op when
+  /// the clock is already past it) and returns the read's status. The
+  /// ticket becomes invalid; an invalid ticket returns InvalidArgument.
   Status Await(IoTicket& ticket);
 
-  /// True when submissions run on background workers (io_workers > 0 or a
-  /// shared backend was injected).
-  bool async_enabled() const { return backend_ != nullptr; }
-
-  /// The worker group (null in inline mode). Shards of one
-  /// ShardedDatabase report the same backend.
-  IoBackend* backend() const { return backend_.get(); }
-
-  /// Sum of every successful request's device latency — what a fully
-  /// serialized execution would have charged the clock.
+  /// Sum of every charged I/O's device latency — what a fully serialized
+  /// execution would have charged the clock.
   uint64_t serial_io_nanos() const {
     return serial_io_nanos_.load(std::memory_order_relaxed);
   }
@@ -246,49 +189,19 @@ class DiskSim {
   /// Zeroes all counters (pages are untouched).
   void ResetCounters();
 
-  /// Executes \p request's byte movement (worker-side half). Public only
-  /// for IoBackend's worker loop; not part of the user API.
-  static void ExecuteRequest(IoRequest* request);
-
  private:
-  friend class IoTicket;
+  /// Resolves \p page_id's image and charges one I/O to the current scope:
+  /// the scope counter, serial_io_nanos and, with a clock, the completion
+  /// instant written to \p complete_sim_nanos. Returns null, charging
+  /// nothing, for an unallocated page.
+  uint8_t* Charge(PageId page_id, bool write, uint64_t* complete_sim_nanos);
 
-  /// What issuing fixes on the caller's thread, for every path.
-  struct Issued {
-    Status status;            ///< IOError when the page is unallocated.
-    uint8_t* page = nullptr;  ///< The page image (stable once allocated).
-    uint64_t latency_nanos = 0;
-    uint64_t complete_sim_nanos = 0;
-  };
-
-  /// Accounting: resolves the page image, counts the I/O in the current
-  /// scope, adds its latency to serial_io_nanos and stamps its simulated
-  /// completion instant. Charges nothing for an unallocated page.
-  Issued Issue(IoRequest::Kind kind, PageId page_id);
-
-  /// Moves one I/O's bytes on the calling thread, after the wall_clock_io
-  /// sleep: a read copies the page image into \p out, a write copies \p in
-  /// over it and writes it through to the backing file.
-  Status Transfer(IoRequest::Kind kind, PageId page_id, uint8_t* page,
-                  uint64_t latency_nanos, uint8_t* out, const uint8_t* in);
-
-  /// Issues and transfers on the caller: the inline-completion ticket.
-  IoTicket RunInline(IoRequest::Kind kind, PageId page_id, uint8_t* out,
-                     const uint8_t* in);
-
-  /// Queues a charged request on the backend, or runs it inline when
-  /// there is none (or it failed at issue).
-  IoTicket Start(IoRequest::Kind kind, PageId page_id, uint8_t* out,
-                 std::unique_ptr<uint8_t[]> payload);
-
-  /// Await without histogram/clock bookkeeping — the abandoned-ticket
-  /// path (charging still happens because accounting is submission-side,
-  /// except the clock advance, which an abandoned result forfeits).
-  static void WaitDone(IoRequest* request);
+  /// Advances the clock to a successful I/O's completion instant and adds
+  /// the advance to charged_io_nanos.
+  void AdvanceClock(uint64_t complete_sim_nanos);
 
   StorageOptions options_;
   SimClock* clock_;
-  std::shared_ptr<IoBackend> backend_;
   std::atomic<uint64_t> serial_io_nanos_{0};
   std::atomic<uint64_t> charged_io_nanos_{0};
   std::atomic<IoScope> scope_{IoScope::kGeneration};

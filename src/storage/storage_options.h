@@ -2,32 +2,22 @@
 /// \brief Tunables of the storage substrate (RocksDB-style options struct).
 ///
 /// Defaults model the paper's testbed (§4.2): 4 KB pages and an 8 MB main
-/// memory on the Sun SPARC/ELC, i.e. a 2048-page buffer pool. Simulated
-/// latencies approximate a 1998-era disk (~10 ms seek+rotation per page I/O)
-/// so that simulated response times have a realistic I/O-dominated shape.
+/// memory on the Sun SPARC/ELC, i.e. a 2048-page buffer pool managed LRU.
+/// Simulated latencies approximate a 1998-era disk (~10 ms seek+rotation
+/// per page I/O) so that simulated response times have a realistic
+/// I/O-dominated shape. Every page I/O completes inline on the calling
+/// thread; batched reads overlap in simulated time only (disk_sim.h).
 
 #ifndef OCB_STORAGE_STORAGE_OPTIONS_H_
 #define OCB_STORAGE_STORAGE_OPTIONS_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "util/status.h"
 
 namespace ocb {
-
-class IoBackend;
-
-/// Buffer-pool replacement policy.
-enum class ReplacementPolicy {
-  kLru,    ///< Strict least-recently-used (default).
-  kClock,  ///< Second-chance clock; cheaper bookkeeping, near-LRU quality.
-  kFifo,   ///< First-in-first-out; degenerate baseline for ablations.
-};
-
-const char* ReplacementPolicyToString(ReplacementPolicy policy);
 
 /// \brief Configuration of DiskSim + BufferPool + ObjectStore.
 struct StorageOptions {
@@ -38,11 +28,8 @@ struct StorageOptions {
   /// matching the paper's available main memory.
   size_t buffer_pool_pages = 2048;
 
-  /// Replacement policy for the buffer pool.
-  ReplacementPolicy replacement_policy = ReplacementPolicy::kLru;
-
   /// Buffer-pool page-table stripes (each with its own mutex, frames and
-  /// replacement state — the unit of physical-I/O parallelism). 0 = auto:
+  /// LRU list — the unit of physical-I/O parallelism). 0 = auto:
   /// pools of >= 64 frames use the build-time default (OCB_LATCH_STRIPES,
   /// 8 unless overridden), smaller pools use 1 stripe, which reproduces
   /// the seed's exact global LRU order. Clamped to [1, buffer_pool_pages];
@@ -75,37 +62,6 @@ struct StorageOptions {
 
   /// Simulated latency charged per page write, in nanoseconds.
   uint64_t write_latency_nanos = 10'000'000;
-
-  /// Number of background I/O worker threads servicing asynchronous
-  /// StartRead/StartWrite submissions (DiskSim's issue/await path). 0 (the
-  /// default) executes every submission inline on the calling thread — the
-  /// blocking baseline, byte-identical to the historical synchronous path.
-  /// With workers, BufferPool misses are issued to the queue and awaited,
-  /// batched misses overlap, and dirty-victim write-back becomes a
-  /// background flush instead of a write under the stripe mutex.
-  size_t io_workers = 0;
-
-  /// When true, I/O latency is injected in *wall-clock* time: whichever
-  /// thread executes the request (an io_worker, or the caller when
-  /// io_workers == 0) sleeps read/write_latency_nanos of real time before
-  /// the bytes move. Simulated-clock charging is unchanged. This lets even
-  /// a single-core host demonstrate genuine overlap: N batched misses
-  /// across N workers cost ~1 latency of wall time instead of N. Meant for
-  /// benchmarks/tests with latencies dialed down to the 100 µs range.
-  bool wall_clock_io = false;
-
-  /// Per-stripe cap on pending background write-backs before eviction
-  /// throttles (awaits the oldest in-flight write). Bounds both memory
-  /// (each entry owns one page image) and the recovery distance of the
-  /// backing file. Only meaningful when io_workers > 0.
-  size_t writeback_queue_depth = 16;
-
-  /// Shared asynchronous I/O backend. When set, this DiskSim submits to
-  /// the given worker group instead of spawning its own — ShardedDatabase
-  /// sets one backend on every shard's options so per-shard pools share
-  /// one I/O worker group. When null and io_workers > 0, the DiskSim owns
-  /// a private backend.
-  std::shared_ptr<IoBackend> io_backend;
 
   /// If non-empty, pages are also persisted (write-through) to this file,
   /// demonstrating durable storage; empty keeps the disk purely in memory.
@@ -154,18 +110,6 @@ struct StorageOptions {
     return Status::OK();
   }
 };
-
-inline const char* ReplacementPolicyToString(ReplacementPolicy policy) {
-  switch (policy) {
-    case ReplacementPolicy::kLru:
-      return "LRU";
-    case ReplacementPolicy::kClock:
-      return "Clock";
-    case ReplacementPolicy::kFifo:
-      return "FIFO";
-  }
-  return "Unknown";
-}
 
 }  // namespace ocb
 

@@ -184,12 +184,6 @@ inline LockClass kDiskDirectoryClass{"disk.directory", 180};
 /// DiskSim backing-file mutex (write-through fseek+fwrite pairs).
 inline LockClass kDiskBackingClass{"disk.backing", 190};
 
-/// I/O backend submission-queue mutex.
-inline LockClass kIoQueueClass{"io.queue", 200};
-
-/// Per-request I/O completion mutex (key = none; awaited one at a time).
-inline LockClass kIoRequestClass{"io.request", 210, kOrderedByKey};
-
 /// WAL writer mutex: appended to under the coordinator/commit path,
 /// nests nothing of the engine's below it.
 inline LockClass kWalWriterClass{"wal.writer", 220};

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "clustering/dfs_placement.h"
 #include "clustering/dstc.h"
 #include "clustering/greedy_graph.h"
@@ -146,6 +148,101 @@ TEST(IntegrationTest, BufferSizeSweepIsMonotoneInMisses) {
     const double ios = metrics->warm.mean_ios_per_transaction();
     EXPECT_LE(ios, previous * 1.05 + 1e-9) << frames << " frames";
     previous = ios;
+  }
+}
+
+// The exact simulated outcome of one before/after experiment: the paper's
+// headline I/O figures plus the totals they are derived from.
+struct SimulatedOutcome {
+  double ios_before = 0.0;
+  double ios_after = 0.0;
+  uint64_t clustering_overhead_io = 0;
+  uint64_t transaction_reads = 0;   ///< Cold + warm, before + after.
+  uint64_t transaction_writes = 0;  ///< Idem.
+  uint64_t warm_response_nanos_before = 0;
+  uint64_t warm_response_nanos_after = 0;
+};
+
+SimulatedOutcome Summarize(const BeforeAfterResult& result) {
+  SimulatedOutcome out;
+  out.ios_before = result.ios_before();
+  out.ios_after = result.ios_after();
+  out.clustering_overhead_io = result.clustering_overhead_io;
+  for (const MultiClientReport* run : {&result.before, &result.after}) {
+    for (const PhaseMetrics* phase : {&run->merged.cold, &run->merged.warm}) {
+      out.transaction_reads += phase->transaction_io_reads;
+      out.transaction_writes += phase->transaction_io_writes;
+    }
+  }
+  // The histogram keeps the exact integer sum; mean * count recovers it.
+  auto warm_sum = [](const MultiClientReport& run) {
+    const Histogram& h = run.merged.warm.global.response_histogram;
+    return static_cast<uint64_t>(
+        std::llround(h.mean() * static_cast<double>(h.count())));
+  };
+  out.warm_response_nanos_before = warm_sum(result.before);
+  out.warm_response_nanos_after = warm_sum(result.after);
+  return out;
+}
+
+void ExpectOutcome(const SimulatedOutcome& got,
+                   const SimulatedOutcome& want) {
+  EXPECT_EQ(got.ios_before, want.ios_before);
+  EXPECT_EQ(got.ios_after, want.ios_after);
+  EXPECT_EQ(got.clustering_overhead_io, want.clustering_overhead_io);
+  EXPECT_EQ(got.transaction_reads, want.transaction_reads);
+  EXPECT_EQ(got.transaction_writes, want.transaction_writes);
+  EXPECT_EQ(got.warm_response_nanos_before, want.warm_response_nanos_before);
+  EXPECT_EQ(got.warm_response_nanos_after, want.warm_response_nanos_after);
+}
+
+// I/Os and simulated response time per transaction are OCB's headline
+// metrics (paper Tables 4 and 5). A change to the page-I/O path must leave
+// them bit-identical, so two small single-client experiments pin them:
+//   * the Table 2 read mix on the legacy path under DSTC, whose BFS
+//     frontiers go through BufferPool::FetchMany (overlapped batches);
+//   * the generic read/write mix under 2PL with locking readers and no
+//     clustering, which prefetches lock footprints and evicts dirty pages.
+TEST(IntegrationTest, SimulatedIoIsPinned) {
+  {
+    Dstc dstc;
+    auto result = RunBeforeAfterExperiment(SmallConfig(), &dstc);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_GE(dstc.stats().reorganizations, 1u);
+    SimulatedOutcome want;
+    want.ios_before = 13.175000000000001;
+    want.ios_after = 10.133333333333333;
+    want.clustering_overhead_io = 843;
+    want.transaction_reads = 3613;
+    want.transaction_writes = 0;
+    want.warm_response_nanos_before = 6'670'000'000;
+    want.warm_response_nanos_after = 5'100'000'000;
+    ExpectOutcome(Summarize(*result), want);
+  }
+  {
+    ExperimentConfig config = SmallConfig();
+    WorkloadParameters& w = config.preset.workload;
+    w.p_set = 0.15;
+    w.p_simple = 0.15;
+    w.p_hierarchy = 0.10;
+    w.p_stochastic = 0.10;
+    w.p_update = 0.30;
+    w.p_insert = 0.12;
+    w.p_delete = 0.08;
+    w.transactional = true;
+    w.mvcc_snapshot_reads = false;
+    NoClustering none;
+    auto result = RunBeforeAfterExperiment(config, &none);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    SimulatedOutcome want;
+    want.ios_before = 8.3916666666666639;
+    want.ios_after = 8.3916666666666675;
+    want.clustering_overhead_io = 0;
+    want.transaction_reads = 2672;
+    want.transaction_writes = 597;
+    want.warm_response_nanos_before = 7'430'000'000;
+    want.warm_response_nanos_after = 7'350'000'000;
+    ExpectOutcome(Summarize(*result), want);
   }
 }
 

@@ -1,42 +1,37 @@
-// Tests for the asynchronous I/O path: DiskSim issue/await, overlapped
-// simulated-time accounting, BufferPool StartFetch/Await/FetchMany, and
-// the background write-back queue (drain points + eviction races).
+// Tests for the batched page-read path: DiskSim issue/await, overlapped
+// simulated-time accounting, and BufferPool StartFetch/Await/FetchMany.
+// Every I/O completes inline on the issuing thread.
 //
-// Carries the `concurrency` label: the issue/await handoff, the batch
-// prefetch release protocol and the write-back queue are exactly the
-// races TSan should chew on.
+// Carries the `concurrency` label: the issue/await latch handoff and the
+// batch prefetch release protocol racing evictions are exactly the races
+// TSan should chew on.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstring>
-#include <memory>
 #include <thread>
 #include <vector>
 
 #include "storage/buffer_pool.h"
 #include "storage/disk_sim.h"
-#include "storage/io_backend.h"
 #include "util/sim_clock.h"
 
 namespace ocb {
 namespace {
 
-StorageOptions AsyncOptions(size_t frames, size_t workers) {
+StorageOptions AsyncOptions(size_t frames) {
   StorageOptions opts;
   opts.page_size = 512;
   opts.buffer_pool_pages = frames;
-  opts.io_workers = workers;
   return opts;
 }
 
 // --- DiskSim issue/await -------------------------------------------------
 
 TEST(DiskSimAsyncTest, StartReadAwaitRoundTrips) {
-  StorageOptions opts = AsyncOptions(4, 2);
+  StorageOptions opts = AsyncOptions(4);
   DiskSim disk(opts);
-  ASSERT_TRUE(disk.async_enabled());
   const PageId id = disk.AllocatePage();
   std::vector<uint8_t> image(opts.page_size, 0xAB);
   ASSERT_TRUE(disk.WritePage(id, image.data()).ok());
@@ -50,32 +45,18 @@ TEST(DiskSimAsyncTest, StartReadAwaitRoundTrips) {
 }
 
 TEST(DiskSimAsyncTest, UnallocatedPageFailsAtIssue) {
-  StorageOptions opts = AsyncOptions(4, 2);
+  StorageOptions opts = AsyncOptions(4);
   DiskSim disk(opts);
   std::vector<uint8_t> out(opts.page_size, 0);
   IoTicket ticket = disk.StartRead(/*page_id=*/99, out.data());
   EXPECT_FALSE(disk.Await(ticket).ok());
 }
 
-TEST(DiskSimAsyncTest, AbandonedTicketIsAwaitedByDestructor) {
-  StorageOptions opts = AsyncOptions(4, 2);
-  DiskSim disk(opts);
-  const PageId id = disk.AllocatePage();
-  std::vector<uint8_t> out(opts.page_size, 0);
-  {
-    IoTicket ticket = disk.StartRead(id, out.data());
-    // Dropped unawaited: the destructor must block until the worker has
-    // finished writing through `out` (ASan/TSan would flag a leak or a
-    // use-after-scope otherwise).
-  }
-  EXPECT_EQ(disk.TotalCounters().reads, 1u);
-}
-
 // Overlap accounting: N reads issued before any await all carry the same
 // simulated completion instant, so the batch advances the clock by exactly
 // ONE device latency — while serial_io_nanos still accumulates all N.
 TEST(DiskSimAsyncTest, BatchedReadsChargeOverlappedSimulatedTime) {
-  StorageOptions opts = AsyncOptions(4, 2);
+  StorageOptions opts = AsyncOptions(4);
   opts.read_latency_nanos = 1'000'000;  // 1 ms simulated.
   SimClock clock;
   DiskSim disk(opts, &clock);
@@ -96,9 +77,10 @@ TEST(DiskSimAsyncTest, BatchedReadsChargeOverlappedSimulatedTime) {
 }
 
 // Dependent (awaited-before-next-issue) reads accumulate serially: the
-// async path must not under-charge a chain that has no overlap to exploit.
+// issue/await path must not under-charge a chain that has no overlap to
+// exploit.
 TEST(DiskSimAsyncTest, DependentReadsChargeSerialSimulatedTime) {
-  StorageOptions opts = AsyncOptions(4, 2);
+  StorageOptions opts = AsyncOptions(4);
   opts.read_latency_nanos = 1'000'000;
   SimClock clock;
   DiskSim disk(opts, &clock);
@@ -117,7 +99,7 @@ TEST(DiskSimAsyncTest, DependentReadsChargeSerialSimulatedTime) {
 // blocking reads advance the clock by less than their sum (they used to
 // serialize 2x unconditionally via Advance()).
 TEST(DiskSimAsyncTest, ConcurrentBlockingReadsOverlapSimulatedTime) {
-  StorageOptions opts = AsyncOptions(4, 0);  // Inline mode: no workers.
+  StorageOptions opts = AsyncOptions(4);
   opts.read_latency_nanos = 1'000'000;
   SimClock clock;
   DiskSim disk(opts, &clock);
@@ -146,117 +128,61 @@ TEST(DiskSimAsyncTest, ConcurrentBlockingReadsOverlapSimulatedTime) {
   EXPECT_EQ(clock.now_nanos(), disk.charged_io_nanos());
 }
 
-// Wall-clock mode: four 20 ms reads issued before any await must finish in
-// well under the 80 ms a serial execution needs.
-TEST(DiskSimAsyncTest, WallClockBatchOverlapsRealTime) {
-  StorageOptions opts = AsyncOptions(4, 4);
-  opts.wall_clock_io = true;
-  opts.read_latency_nanos = 20'000'000;  // 20 ms real sleep per read.
-  DiskSim disk(opts);
-  std::vector<PageId> ids;
-  for (int i = 0; i < 4; ++i) ids.push_back(disk.AllocatePage());
-  std::vector<std::vector<uint8_t>> outs(4,
-                                         std::vector<uint8_t>(opts.page_size));
-
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<IoTicket> tickets;
-  for (int i = 0; i < 4; ++i) {
-    tickets.push_back(disk.StartRead(ids[i], outs[i].data()));
-  }
-  for (IoTicket& t : tickets) ASSERT_TRUE(disk.Await(t).ok());
-  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-  EXPECT_GE(elapsed, 18);  // At least one device latency really passed.
-  EXPECT_LT(elapsed, 60);  // Serial would be >= 80 ms; generous CI margin.
-}
-
-// Everything DiskSim's accounting exposes after one issue/await sequence.
-struct IoOutcome {
-  std::vector<uint64_t> counters;  // reads, writes of every scope in turn.
-  uint64_t serial_io_nanos = 0;
-  uint64_t charged_io_nanos = 0;
-  uint64_t clock_nanos = 0;
-  std::vector<uint8_t> bytes_read;
-};
-
-// A fixed mix: an overlapped write batch in the generation scope, then in
-// the transaction scope an overlapped read batch, a dependent read, the
-// blocking wrappers and a read that fails at issue.
-IoOutcome RunIoSequence(size_t io_workers) {
-  StorageOptions opts = AsyncOptions(4, io_workers);
+// The exact counters and nanos of a fixed mix: four writes in the
+// generation scope, then in the transaction scope an overlapped read batch,
+// a dependent read, the blocking wrappers and a read that fails at issue.
+// Accounting happens at issue, and only overlapped reads share a
+// completion instant.
+TEST(DiskSimAsyncTest, InlineCompletionAccountsExactly) {
+  StorageOptions opts = AsyncOptions(4);
   opts.read_latency_nanos = 1'000'000;
   opts.write_latency_nanos = 3'000'000;
   SimClock clock;
   DiskSim disk(opts, &clock);
-  EXPECT_EQ(disk.async_enabled(), io_workers > 0);
   std::vector<PageId> ids;
   for (int i = 0; i < 4; ++i) ids.push_back(disk.AllocatePage());
 
-  std::vector<IoTicket> tickets;
   for (size_t i = 0; i < ids.size(); ++i) {
-    auto image = std::make_unique<uint8_t[]>(opts.page_size);
-    std::memset(image.get(), static_cast<int>(i + 1), opts.page_size);
-    tickets.push_back(disk.StartWrite(ids[i], std::move(image)));
+    std::vector<uint8_t> image(opts.page_size, static_cast<uint8_t>(i + 1));
+    EXPECT_TRUE(disk.WritePage(ids[i], image.data()).ok());
   }
-  for (IoTicket& t : tickets) EXPECT_TRUE(disk.Await(t).ok());
 
   disk.set_scope(IoScope::kTransaction);
-  IoOutcome outcome;
-  outcome.bytes_read.resize((ids.size() + 1) * opts.page_size);
-  tickets.clear();
+  std::vector<uint8_t> bytes_read((ids.size() + 1) * opts.page_size);
+  std::vector<IoTicket> tickets;
   for (size_t i = 0; i < ids.size(); ++i) {
-    tickets.push_back(
-        disk.StartRead(ids[i], &outcome.bytes_read[i * opts.page_size]));
+    tickets.push_back(disk.StartRead(ids[i], &bytes_read[i * opts.page_size]));
   }
   for (IoTicket& t : tickets) EXPECT_TRUE(disk.Await(t).ok());
   std::vector<uint8_t> page(opts.page_size);
   IoTicket dependent = disk.StartRead(ids[0], page.data());
   EXPECT_TRUE(disk.Await(dependent).ok());
   EXPECT_TRUE(disk.WritePage(ids[1], page.data()).ok());
-  EXPECT_TRUE(disk.ReadPage(
-      ids[1], &outcome.bytes_read[ids.size() * opts.page_size]).ok());
+  EXPECT_TRUE(
+      disk.ReadPage(ids[1], &bytes_read[ids.size() * opts.page_size]).ok());
   IoTicket missing = disk.StartRead(/*page_id=*/99, page.data());
   EXPECT_TRUE(disk.Await(missing).IsIOError());
 
+  // 4 generation writes; 6 transaction reads and 1 write (the failed read
+  // charges nothing).
+  std::vector<uint64_t> counters;  // reads, writes of every scope in turn.
   for (size_t s = 0; s < static_cast<size_t>(IoScope::kNumScopes); ++s) {
     const IoCounters& c = disk.counters(static_cast<IoScope>(s));
-    outcome.counters.push_back(c.reads);
-    outcome.counters.push_back(c.writes);
+    counters.push_back(c.reads);
+    counters.push_back(c.writes);
   }
-  outcome.serial_io_nanos = disk.serial_io_nanos();
-  outcome.charged_io_nanos = disk.charged_io_nanos();
-  outcome.clock_nanos = clock.now_nanos();
-  return outcome;
-}
-
-// Inline completion (no I/O workers) builds no request object, but it must
-// charge exactly what the worker path charges: accounting is issue-side.
-TEST(DiskSimAsyncTest, InlineAndWorkerCompletionAccountIdentically) {
-  const IoOutcome inline_io = RunIoSequence(0);
-  const IoOutcome worker_io = RunIoSequence(2);
-  EXPECT_EQ(inline_io.counters, worker_io.counters);
-  EXPECT_EQ(inline_io.serial_io_nanos, worker_io.serial_io_nanos);
-  EXPECT_EQ(inline_io.charged_io_nanos, worker_io.charged_io_nanos);
-  EXPECT_EQ(inline_io.clock_nanos, worker_io.clock_nanos);
-  EXPECT_EQ(inline_io.bytes_read, worker_io.bytes_read);
-
-  // And both are the right numbers: 4 generation writes; 6 transaction
-  // reads and 1 write (the failed read charges nothing).
-  const std::vector<uint64_t> expected = {0, 4, 6, 1, 0, 0};
-  EXPECT_EQ(inline_io.counters, expected);
-  EXPECT_EQ(inline_io.serial_io_nanos, 21'000'000u);  // 4×3 + 6×1 + 3 ms.
-  // Write batch 3 ms, read batch 1 ms, then 1 + 3 + 1 ms serially.
-  EXPECT_EQ(inline_io.clock_nanos, 9'000'000u);
-  EXPECT_EQ(inline_io.charged_io_nanos, inline_io.clock_nanos);
-  EXPECT_EQ(inline_io.bytes_read[0], 1);
-  EXPECT_EQ(inline_io.bytes_read.back(), 1);  // Page 0's image, rewritten.
+  EXPECT_EQ(counters, (std::vector<uint64_t>{0, 4, 6, 1, 0, 0}));
+  EXPECT_EQ(disk.serial_io_nanos(), 21'000'000u);  // 4×3 + 6×1 + 3 ms.
+  // Writes 4×3 ms serially, read batch 1 ms, then 1 + 3 + 1 ms serially.
+  EXPECT_EQ(clock.now_nanos(), 18'000'000u);
+  EXPECT_EQ(disk.charged_io_nanos(), clock.now_nanos());
+  EXPECT_EQ(bytes_read[0], 1);
+  EXPECT_EQ(bytes_read.back(), 1);  // Page 0's image, rewritten.
 }
 
 TEST(DiskSimAsyncTest, InlineTicketIsConsumedByMoveAndAwait) {
-  StorageOptions opts = AsyncOptions(4, 0);
+  StorageOptions opts = AsyncOptions(4);
   DiskSim disk(opts);
-  ASSERT_FALSE(disk.async_enabled());
   const PageId id = disk.AllocatePage();
   std::vector<uint8_t> out(opts.page_size);
 
@@ -278,7 +204,7 @@ TEST(DiskSimAsyncTest, InlineTicketIsConsumedByMoveAndAwait) {
 }
 
 TEST(DiskSimAsyncTest, InlineErrorsSurfaceFromAwait) {
-  StorageOptions opts = AsyncOptions(4, 0);
+  StorageOptions opts = AsyncOptions(4);
   // Every write to /dev/full fails with ENOSPC; a page this large reaches
   // the device inside fwrite instead of sitting in the stdio buffer.
   opts.page_size = 1 << 16;
@@ -292,10 +218,6 @@ TEST(DiskSimAsyncTest, InlineErrorsSurfaceFromAwait) {
   EXPECT_TRUE(disk.Await(unallocated).IsIOError());
 
   const PageId id = disk.AllocatePage();
-  IoTicket write = disk.StartWrite(
-      id, std::make_unique<uint8_t[]>(opts.page_size));
-  ASSERT_TRUE(write.valid());
-  EXPECT_TRUE(disk.Await(write).IsIOError());
   EXPECT_TRUE(disk.WritePage(id, page.data()).IsIOError());
   // A failed I/O never advances the clock.
   EXPECT_EQ(clock.now_nanos(), 0u);
@@ -330,7 +252,7 @@ void ExpectMarker(PageHandle* h, int index) {
 }
 
 TEST(BufferPoolAsyncTest, StartFetchAwaitMissAndHit) {
-  StorageOptions opts = AsyncOptions(8, 2);
+  StorageOptions opts = AsyncOptions(8);
   DiskSim disk(opts);
   BufferPool pool(&disk, opts);
   const std::vector<PageId> ids = BuildMarkedPages(&pool, 2);
@@ -357,7 +279,7 @@ TEST(BufferPoolAsyncTest, StartFetchAwaitMissAndHit) {
 }
 
 TEST(BufferPoolAsyncTest, StartFetchFailsCleanlyWhenAllFramesPinned) {
-  StorageOptions opts = AsyncOptions(2, 2);
+  StorageOptions opts = AsyncOptions(2);
   DiskSim disk(opts);
   BufferPool pool(&disk, opts);
   PageId a = kInvalidPageId;
@@ -376,7 +298,7 @@ TEST(BufferPoolAsyncTest, StartFetchFailsCleanlyWhenAllFramesPinned) {
 }
 
 TEST(BufferPoolAsyncTest, AbandonedPendingFetchReleasesThePage) {
-  StorageOptions opts = AsyncOptions(8, 2);
+  StorageOptions opts = AsyncOptions(8);
   DiskSim disk(opts);
   BufferPool pool(&disk, opts);
   const std::vector<PageId> ids = BuildMarkedPages(&pool, 1);
@@ -395,7 +317,7 @@ TEST(BufferPoolAsyncTest, AbandonedPendingFetchReleasesThePage) {
 // same bytes afterwards, same miss/read counts — just issued as a batch.
 TEST(BufferPoolAsyncTest, FetchManyMatchesSequentialFetches) {
   constexpr int kPages = 12;
-  StorageOptions opts = AsyncOptions(32, 4);
+  StorageOptions opts = AsyncOptions(32);
   DiskSim disk(opts);
   BufferPool pool(&disk, opts);
   const std::vector<PageId> ids = BuildMarkedPages(&pool, kPages);
@@ -426,7 +348,7 @@ TEST(BufferPoolAsyncTest, FetchManyMatchesSequentialFetches) {
 // (a traversal frontier can easily outnumber the frames).
 TEST(BufferPoolAsyncTest, FetchManyLargerThanThePoolSucceeds) {
   constexpr int kPages = 24;
-  StorageOptions opts = AsyncOptions(8, 2);  // 8 frames, single stripe.
+  StorageOptions opts = AsyncOptions(8);  // 8 frames, single stripe.
   DiskSim disk(opts);
   BufferPool pool(&disk, opts);
   const std::vector<PageId> ids = BuildMarkedPages(&pool, kPages);
@@ -445,7 +367,7 @@ TEST(BufferPoolAsyncTest, FetchManyLargerThanThePoolSucceeds) {
 // the later blocking read fetches them one at a time.
 TEST(BufferPoolAsyncTest, FetchManyToleratesPinPressure) {
   constexpr int kPages = 8;
-  StorageOptions opts = AsyncOptions(4, 2);
+  StorageOptions opts = AsyncOptions(4);
   DiskSim disk(opts);
   BufferPool pool(&disk, opts);
   const std::vector<PageId> ids = BuildMarkedPages(&pool, kPages);
@@ -470,7 +392,7 @@ TEST(BufferPoolAsyncTest, FetchManyToleratesPinPressure) {
 // point of issuing every miss before awaiting any.
 TEST(BufferPoolAsyncTest, FetchManyOverlapsSimulatedTime) {
   constexpr int kPages = 8;
-  StorageOptions opts = AsyncOptions(32, 4);
+  StorageOptions opts = AsyncOptions(32);
   opts.read_latency_nanos = 1'000'000;
   opts.write_latency_nanos = 0;  // Keep the build phase off the clock.
   SimClock clock;
@@ -483,101 +405,17 @@ TEST(BufferPoolAsyncTest, FetchManyOverlapsSimulatedTime) {
   EXPECT_EQ(clock.now_nanos() - before, opts.read_latency_nanos);
 }
 
-// --- Background write-back -----------------------------------------------
-
-TEST(BufferPoolAsyncTest, FlushAllDrainsTheWritebackQueue) {
-  StorageOptions opts = AsyncOptions(2, 2);
-  opts.wall_clock_io = true;
-  opts.write_latency_nanos = 5'000'000;  // 5 ms: keep write-backs in flight.
-  DiskSim disk(opts);
-  BufferPool pool(&disk, opts);
-
-  // Dirty pages beyond capacity force dirty evictions onto the queue.
-  std::vector<PageId> ids;
-  for (int i = 0; i < 6; ++i) {
-    PageId id = kInvalidPageId;
-    auto h = pool.NewPage(&id);
-    ASSERT_TRUE(h.ok());
-    std::vector<uint8_t> marker(16, static_cast<uint8_t>(i + 1));
-    ASSERT_TRUE(h->page().Insert(marker).ok());
-    h->MarkDirty();
-    ids.push_back(id);
-  }
-  EXPECT_GT(pool.stats().dirty_writebacks, 0u);
-  EXPECT_GT(pool.writeback_peak_depth(), 0u);
-
-  ASSERT_TRUE(pool.FlushAll().ok());
-  EXPECT_EQ(pool.pending_writebacks(), 0u);
-
-  // Every marker must have reached the disk: cold-start and re-read.
-  ASSERT_TRUE(pool.InvalidateAll().ok());
-  EXPECT_EQ(pool.pending_writebacks(), 0u);
-  for (int i = 0; i < 6; ++i) {
-    auto h = pool.FetchPage(ids[i], LatchMode::kShared);
-    ASSERT_TRUE(h.ok());
-    ExpectMarker(&h.value(), i);
-  }
-}
-
-TEST(BufferPoolAsyncTest, QuiesceDrainsTheWritebackQueue) {
-  StorageOptions opts = AsyncOptions(2, 2);
-  opts.wall_clock_io = true;
-  opts.write_latency_nanos = 5'000'000;
-  DiskSim disk(opts);
-  BufferPool pool(&disk, opts);
-  for (int i = 0; i < 5; ++i) {
-    PageId id = kInvalidPageId;
-    auto h = pool.NewPage(&id);
-    ASSERT_TRUE(h.ok());
-    h->MarkDirty();
-  }
-  pool.BeginQuiesce();
-  EXPECT_EQ(pool.pending_writebacks(), 0u);
-  pool.EndQuiesce();
-}
-
-// A miss on a page whose write-back is still in flight must await the
-// write before re-reading — otherwise it reads stale bytes.
-TEST(BufferPoolAsyncTest, RefetchDuringPendingWritebackSeesNewBytes) {
-  StorageOptions opts = AsyncOptions(2, 2);
-  opts.wall_clock_io = true;
-  opts.write_latency_nanos = 20'000'000;  // 20 ms: a real race window.
-  DiskSim disk(opts);
-  BufferPool pool(&disk, opts);
-
-  PageId victim = kInvalidPageId;
-  {
-    auto h = pool.NewPage(&victim);
-    ASSERT_TRUE(h.ok());
-    std::vector<uint8_t> marker(16, 0x5A);
-    ASSERT_TRUE(h->page().Insert(marker).ok());
-    h->MarkDirty();
-  }
-  // Two more dirty pages evict `victim`; its write-back is now in flight.
-  for (int i = 0; i < 2; ++i) {
-    PageId id = kInvalidPageId;
-    auto h = pool.NewPage(&id);
-    ASSERT_TRUE(h.ok());
-    h->MarkDirty();
-  }
-  // Immediate re-fetch: must settle the pending write first.
-  auto h = pool.FetchPage(victim, LatchMode::kShared);
-  ASSERT_TRUE(h.ok());
-  auto rec = h->page().Read(0);
-  ASSERT_TRUE(rec.ok());
-  EXPECT_EQ(rec.value()[0], 0x5A);
-}
-
 // --- Races (the TSan meat) -----------------------------------------------
 
 // Concurrent fetchers, prefetchers and dirty writers over a pool far
 // smaller than the page set: every interleaving of eviction-during-
-// pending-fetch and write-back settling gets exercised.
+// pending-fetch and dirty write-back under the stripe mutex gets
+// exercised.
 TEST(BufferPoolAsyncConcurrencyTest, MixedFetchPrefetchEvictStorm) {
   constexpr int kPages = 48;
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 400;
-  StorageOptions opts = AsyncOptions(8, 2);
+  StorageOptions opts = AsyncOptions(8);
   opts.latch_stripes = 2;
   DiskSim disk(opts);
   BufferPool pool(&disk, opts);
@@ -614,8 +452,7 @@ TEST(BufferPoolAsyncConcurrencyTest, MixedFetchPrefetchEvictStorm) {
         (void)pool.FetchMany(batch);
       } else {
         // Dirty write: rewrite the marker with the same value so readers
-        // stay consistent, but the frame goes through dirty eviction and
-        // the async write-back queue.
+        // stay consistent, but the frame goes through dirty eviction.
         const int idx = static_cast<int>(next() % kPages);
         auto h = pool.FetchPage(ids[idx], LatchMode::kExclusive);
         if (!h.ok()) {
@@ -637,7 +474,6 @@ TEST(BufferPoolAsyncConcurrencyTest, MixedFetchPrefetchEvictStorm) {
   EXPECT_FALSE(failed.load());
 
   ASSERT_TRUE(pool.FlushAll().ok());
-  EXPECT_EQ(pool.pending_writebacks(), 0u);
   EXPECT_EQ(pool.pinned_frames(), 0u);
 
   // Post-storm integrity: every page still carries its marker.

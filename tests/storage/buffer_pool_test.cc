@@ -9,12 +9,10 @@
 namespace ocb {
 namespace {
 
-StorageOptions PoolOptions(size_t frames,
-                           ReplacementPolicy policy = ReplacementPolicy::kLru) {
+StorageOptions PoolOptions(size_t frames) {
   StorageOptions opts;
   opts.page_size = 512;
   opts.buffer_pool_pages = frames;
-  opts.replacement_policy = policy;
   return opts;
 }
 
@@ -189,11 +187,10 @@ TEST(BufferPoolTest, MoveHandleTransfersPin) {
   EXPECT_EQ(pool.pinned_frames(), 0u);
 }
 
-// The same workload behaves sanely under every replacement policy.
-class PolicySweep : public ::testing::TestWithParam<ReplacementPolicy> {};
-
-TEST_P(PolicySweep, CacheWorksAndEvicts) {
-  const StorageOptions opts = PoolOptions(8, GetParam());
+// A page set four times the pool: every fetch returns the right page and
+// LRU evicts as the working set cycles through.
+TEST(BufferPoolTest, LruCacheWorksAndEvicts) {
+  const StorageOptions opts = PoolOptions(8);
   DiskSim disk(opts);
   BufferPool pool(&disk, opts);
   std::vector<PageId> pages(32);
@@ -211,11 +208,6 @@ TEST_P(PolicySweep, CacheWorksAndEvicts) {
   EXPECT_GT(pool.stats().misses, 0u);
   EXPECT_GE(pool.stats().evictions, 24u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Policies, PolicySweep,
-                         ::testing::Values(ReplacementPolicy::kLru,
-                                           ReplacementPolicy::kClock,
-                                           ReplacementPolicy::kFifo));
 
 }  // namespace
 }  // namespace ocb
