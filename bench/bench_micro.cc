@@ -3,13 +3,15 @@
 ///        paths — RNG draws, distribution sampling, page operations,
 ///        buffer-pool hits, misses and batched misses, disk reads,
 ///        uncontended lock acquire/release and commit-pipeline submit,
-///        object codec, and generator throughput.
+///        object codec, DSTC observation, and generator throughput.
 
 #include <benchmark/benchmark.h>
 
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "clustering/dstc.h"
 #include "concurrency/commit_pipeline.h"
 #include "concurrency/lock_manager.h"
 #include "oodb/database.h"
@@ -208,6 +210,51 @@ void BM_ObjectReadThroughDatabase(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ObjectReadThroughDatabase);
+
+// DSTC's phase 1 as ocb-cluster drives it: one transaction of 360 link
+// crossings per iteration, 500-transaction observation periods whose
+// close (selection and consolidation) falls inside the timed loop. The
+// crossings are random walks over a 20,000-object graph of five
+// references per object, drawn before timing.
+void BM_DstcObserve(benchmark::State& state) {
+  constexpr int64_t kObjects = 20000;
+  constexpr int64_t kRefs = 5;
+  constexpr size_t kCrossingsPerTxn = 360;
+  constexpr size_t kPeriod = 500;
+  LewisPayneRng rng(1998);
+  std::vector<Oid> refs(static_cast<size_t>(kObjects * kRefs));
+  for (Oid& ref : refs) ref = static_cast<Oid>(rng.UniformInt(1, kObjects));
+  std::vector<std::pair<Oid, Oid>> stream;
+  Oid at = 1;
+  while (stream.size() < kPeriod * kCrossingsPerTxn) {
+    // A walk restarts at a fresh root every eight links, as a traversal
+    // returns to shallower depths.
+    if (stream.size() % 8 == 0) {
+      at = static_cast<Oid>(rng.UniformInt(1, kObjects));
+    }
+    const Oid to = refs[static_cast<size_t>(
+        static_cast<int64_t>(at - 1) * kRefs + rng.UniformInt(0, kRefs - 1))];
+    stream.push_back({at, to});
+    at = to;
+  }
+  DstcOptions options;
+  options.observation_period_transactions = kPeriod;
+  options.selection_threshold = 1.0;
+  Dstc dstc(options);
+  size_t next = 0;
+  for (auto _ : state) {
+    dstc.OnTransactionBegin();
+    for (size_t i = 0; i < kCrossingsPerTxn; ++i, ++next) {
+      const auto& [from, to] = stream[next % stream.size()];
+      dstc.OnLinkCross(from, to, 0, false);
+    }
+    dstc.OnTransactionEnd();
+  }
+  benchmark::DoNotOptimize(dstc.consolidated_links());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kCrossingsPerTxn));
+}
+BENCHMARK(BM_DstcObserve);
 
 void BM_GenerateDatabase(benchmark::State& state) {
   const uint64_t objects = static_cast<uint64_t>(state.range(0));

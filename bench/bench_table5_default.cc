@@ -62,8 +62,7 @@ int main() {
       "diversified workload's gain should be well below the CluB gain "
       "(paper: 2.58 vs 8.71-13.2). Our uniform DIST4 default builds a "
       "random expander graph, which attenuates the absolute gain (~1.1x) "
-      "relative to the paper's 2.58 while preserving the direction; see "
-      "EXPERIMENTS.md for the analysis.",
+      "relative to the paper's 2.58 while preserving the direction.",
       result->gain_factor() > 1.0 ? "PASS" : "FAIL"));
   bench::PrintNote(Format(
       "DSTC stats: %llu reorganizations, %llu objects moved, %llu units, "

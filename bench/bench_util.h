@@ -6,7 +6,7 @@
 /// paper gives absolute numbers — the paper's values alongside for shape
 /// comparison. Absolute magnitudes are not comparable (the substrate is a
 /// simulator, not a 1998 SPARC/ELC); the *shape* is the reproduction
-/// target (see EXPERIMENTS.md).
+/// target (see README "Reproduced experiments").
 
 #ifndef OCB_BENCH_BENCH_UTIL_H_
 #define OCB_BENCH_BENCH_UTIL_H_

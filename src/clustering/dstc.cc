@@ -1,18 +1,33 @@
 #include "clustering/dstc.h"
 
 #include <algorithm>
+#include <map>
 #include <unordered_set>
 
 namespace ocb {
 
+namespace {
+
+/// Fills an aborted transaction's crossing-log slots. It sorts first and
+/// matches no real crossing (OnLinkCross drops invalid oids).
+constexpr std::pair<Oid, Oid> kTombstone{kInvalidOid, kInvalidOid};
+
+}  // namespace
+
 Dstc::Dstc(DstcOptions options) : options_(options) {}
 
-void Dstc::OnTransactionBegin() {
-  txn_journals_[std::this_thread::get_id()].clear();
+std::vector<size_t>* Dstc::ThreadJournal() {
+  const std::thread::id self = std::this_thread::get_id();
+  if (cached_journal_ == nullptr || cached_thread_ != self) {
+    cached_journal_ = &journals_[self];
+    cached_thread_ = self;
+  }
+  return cached_journal_;
 }
 
+void Dstc::OnTransactionBegin() { ThreadJournal()->clear(); }
+
 void Dstc::OnTransactionEnd() {
-  txn_journals_.erase(std::this_thread::get_id());
   ++transactions_in_period_;
   if (transactions_in_period_ >= options_.observation_period_transactions) {
     CloseObservationPeriod();
@@ -20,55 +35,63 @@ void Dstc::OnTransactionEnd() {
 }
 
 void Dstc::OnTransactionAbort() {
-  // Compensate the aborted transaction's crossings out of the observation
-  // matrix (clamped: a Reorganize may have closed the period mid-txn, in
-  // which case the entries are already gone). Only the aborting thread's
-  // own journal is touched — concurrent clients' in-flight observations
-  // stay intact. Aborted transactions do not advance the observation
-  // period either.
-  auto journal = txn_journals_.find(std::this_thread::get_id());
-  if (journal == txn_journals_.end()) return;
-  for (const auto& pair : journal->second) {
-    auto it = observation_.find(pair);
-    if (it != observation_.end()) {
-      it->second -= 1.0;
-      if (it->second <= 0.0) observation_.erase(it);
-    }
-    if (stats_.observed_crossings > 0) --stats_.observed_crossings;
-  }
-  txn_journals_.erase(journal);
+  // Only the aborting thread's own slots are tombstoned — concurrent
+  // clients' in-flight crossings stay live. Aborted transactions do not
+  // advance the observation period either.
+  std::vector<size_t>* journal = ThreadJournal();
+  for (size_t slot : *journal) crossings_[slot] = kTombstone;
+  stats_.observed_crossings -= journal->size();
+  journal->clear();
 }
 
 void Dstc::OnLinkCross(Oid from, Oid to, RefTypeId type, bool reverse) {
   (void)type;
   if (reverse && !options_.observe_reverse_crossings) return;
   if (from == kInvalidOid || to == kInvalidOid || from == to) return;
-  observation_[{from, to}] += 1.0;
-  txn_journals_[std::this_thread::get_id()].push_back({from, to});
+  ThreadJournal()->push_back(crossings_.size());
+  crossings_.push_back({from, to});
   ++stats_.observed_crossings;
 }
 
 void Dstc::CloseObservationPeriod() {
-  // Phase 2 (Selection): keep significant entries only.
-  // Phase 3 (Consolidation): age old knowledge, fold the new period in.
-  for (auto& [pair, weight] : consolidated_) {
+  // Phase 3 first half: age old knowledge.
+  for (auto& [link, weight] : consolidated_) {
     weight *= options_.consolidation_decay;
   }
-  for (const auto& [pair, count] : observation_) {
-    if (count >= options_.selection_threshold) {
-      consolidated_[pair] += count;
-    }
-  }
-  // Drop consolidated entries that decayed into noise; keeps the persistent
+  // Phase 2 (Selection): sorting the log makes each link's crossings one
+  // run; runs of at least selection_threshold are significant. Phase 3
+  // (Consolidation): merge them into the sorted consolidated matrix, and
+  // drop entries that decayed into noise, which keeps the persistent
   // matrix bounded over long runs.
-  for (auto it = consolidated_.begin(); it != consolidated_.end();) {
-    if (it->second < 0.25 * options_.unit_link_threshold) {
-      it = consolidated_.erase(it);
-    } else {
-      ++it;
+  std::sort(crossings_.begin(), crossings_.end());
+  const double noise = 0.25 * options_.unit_link_threshold;
+  std::vector<std::pair<Link, double>> merged;
+  merged.reserve(consolidated_.size());
+  auto keep = [&](const Link& link, double weight) {
+    if (weight >= noise) merged.push_back({link, weight});
+  };
+  auto old = consolidated_.begin();
+  for (size_t run = 0; run < crossings_.size();) {
+    const Link link = crossings_[run];
+    size_t next = run + 1;
+    while (next < crossings_.size() && crossings_[next] == link) ++next;
+    const double count = static_cast<double>(next - run);
+    run = next;
+    if (link == kTombstone || count < options_.selection_threshold) continue;
+    for (; old != consolidated_.end() && old->first < link; ++old) {
+      keep(old->first, old->second);
     }
+    double weight = 0.0;
+    if (old != consolidated_.end() && old->first == link) {
+      weight = old->second;
+      ++old;
+    }
+    keep(link, weight + count);
   }
-  observation_.clear();
+  for (; old != consolidated_.end(); ++old) keep(old->first, old->second);
+  consolidated_ = std::move(merged);
+  crossings_.clear();
+  for (auto& entry : journals_) entry.second.clear();
   transactions_in_period_ = 0;
 }
 
@@ -82,19 +105,17 @@ std::vector<std::vector<Oid>> Dstc::BuildClusteringUnits(
   std::unordered_map<Oid, std::vector<std::pair<Oid, double>>> adjacency;
   std::vector<Edge> edges;
   {
-    Matrix undirected;
-    for (const auto& [pair, weight] : consolidated_) {
+    std::map<Link, double> undirected;
+    for (const auto& [link, weight] : consolidated_) {
       if (weight < options_.unit_link_threshold) continue;
-      auto key = pair.first < pair.second
-                     ? pair
-                     : std::make_pair(pair.second, pair.first);
-      undirected[key] += weight;
+      undirected[{std::min(link.first, link.second),
+                  std::max(link.first, link.second)}] += weight;
     }
     edges.reserve(undirected.size());
-    for (const auto& [pair, weight] : undirected) {
-      edges.push_back(Edge{pair.first, pair.second, weight});
-      adjacency[pair.first].push_back({pair.second, weight});
-      adjacency[pair.second].push_back({pair.first, weight});
+    for (const auto& [link, weight] : undirected) {
+      edges.push_back(Edge{link.first, link.second, weight});
+      adjacency[link.first].push_back({link.second, weight});
+      adjacency[link.second].push_back({link.first, weight});
     }
   }
   // Heaviest edges seed units first (deterministic tie-break on oids).
@@ -169,8 +190,12 @@ std::vector<std::vector<Oid>> Dstc::BuildClusteringUnits(
 }
 
 Status Dstc::Reorganize(Database* db) {
-  // Close a half-open observation period so fresh statistics count.
-  if (!observation_.empty()) CloseObservationPeriod();
+  // Close a half-open observation period so fresh statistics count, if
+  // any of its crossings survived the aborts.
+  if (std::any_of(crossings_.begin(), crossings_.end(),
+                  [](const Link& link) { return link != kTombstone; })) {
+    CloseObservationPeriod();
+  }
   if (consolidated_.empty()) return Status::OK();
 
   // Everything below — including the object-size probes of unit
@@ -221,11 +246,12 @@ Status Dstc::Reorganize(Database* db) {
 }
 
 void Dstc::ResetStatistics() {
-  observation_.clear();
+  crossings_.clear();
   consolidated_.clear();
   transactions_in_period_ = 0;
   last_units_.clear();
-  txn_journals_.clear();
+  journals_.clear();
+  cached_journal_ = nullptr;
   stats_ = ClusteringStats{};
 }
 

@@ -5,8 +5,11 @@
 /// DSTC observes database usage (inter-object link crossings) and
 /// dynamically reorganizes placement. Five phases:
 ///
-///   1. *Observation*: during a fixed Observation Period, link crossings are
-///      counted in a transient Observation Matrix.
+///   1. *Observation*: during a fixed Observation Period, every link
+///      crossing is appended to the period's crossing log the moment it
+///      happens; the log is sorted and its runs counted when the period
+///      closes, which stands in for the paper's transient Observation
+///      Matrix.
 ///   2. *Selection*: at period end, only statistically significant entries
 ///      (count >= selection_threshold) are kept.
 ///   3. *Consolidation*: selected counts are merged into a persistent
@@ -25,6 +28,7 @@
 #ifndef OCB_CLUSTERING_DSTC_H_
 #define OCB_CLUSTERING_DSTC_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <thread>
 #include <unordered_map>
@@ -77,10 +81,14 @@ class Dstc : public ClusteringPolicy {
 
   // -- AccessObserver (phase 1) --
   void OnTransactionBegin() override;
+  /// Counts the transaction toward the period and closes a full one. The
+  /// transaction's crossings were logged when they happened: under group
+  /// commit the engine runs End for every member of a batch on the
+  /// leader's thread, so End must not look for anything by thread.
   void OnTransactionEnd() override;
   /// Rolled-back transactions never logically happened: their crossings
-  /// are compensated out of the observation matrix so DSTC does not learn
-  /// placement from accesses the undo log erased.
+  /// are tombstoned in the crossing log, so DSTC never counts accesses the
+  /// undo log erased. Aborts do not advance the period.
   void OnTransactionAbort() override;
   void OnLinkCross(Oid from, Oid to, RefTypeId type, bool reverse) override;
 
@@ -102,38 +110,40 @@ class Dstc : public ClusteringPolicy {
   const DstcOptions& options() const { return options_; }
 
  private:
-  /// Canonical undirected pair key: (min << 32-ish) — we keep directed
-  /// counts separately and symmetrize at unit-building time.
-  struct PairHash {
-    size_t operator()(const std::pair<Oid, Oid>& p) const {
-      return std::hash<Oid>()(p.first * 0x9E3779B97F4A7C15ULL ^ p.second);
-    }
-  };
-  using Matrix = std::unordered_map<std::pair<Oid, Oid>, double, PairHash>;
+  /// A directed link crossing (from, to).
+  using Link = std::pair<Oid, Oid>;
 
-  /// Phases 2 + 3: filter the observation matrix and fold it into the
-  /// consolidated matrix.
+  /// Phases 2 + 3: count the crossing log's runs, select the significant
+  /// ones and fold them into the consolidated matrix.
   void CloseObservationPeriod();
 
   /// Phase 4: greedy unit construction from the consolidated matrix.
   std::vector<std::vector<Oid>> BuildClusteringUnits(Database* db) const;
 
+  /// The calling thread's journal (see journals_).
+  std::vector<size_t>* ThreadJournal();
+
   DstcOptions options_;
-  Matrix observation_;
-  Matrix consolidated_;
+  /// Phase 1: every crossing of the open period in arrival order; an
+  /// aborted transaction's crossings are overwritten by a tombstone.
+  std::vector<Link> crossings_;
+  /// Phase 3: consolidated weight of each directed link, sorted by link.
+  std::vector<std::pair<Link, double>> consolidated_;
   uint64_t transactions_in_period_ = 0;
   std::vector<std::vector<Oid>> last_units_;
 
-  /// Crossings recorded since each in-flight transaction began, keyed by
-  /// the client thread driving it (one thread drives at most one open
-  /// transaction, and every observer callback for a transaction arrives
-  /// on its own thread, serialized by the Database's observer mutex). On
-  /// abort the owning
-  /// thread's entries are subtracted back out of observation_; on commit
-  /// they are simply dropped.
-  std::unordered_map<std::thread::id,
-                     std::vector<std::pair<Oid, Oid>>>
-      txn_journals_;
+  /// The crossings_ slots that each client thread's latest transaction
+  /// filled in the current period. They serve only OnTransactionAbort,
+  /// which runs on the aborting thread (every callback is serialized by the
+  /// Database's observer mutex). Begin empties the caller's journal and a
+  /// period close empties all of them, so an abort never touches a slot of
+  /// a closed period: those crossings stay consolidated.
+  std::unordered_map<std::thread::id, std::vector<size_t>> journals_;
+  /// One-entry cache of ThreadJournal(): a single client hits it on every
+  /// crossing. Map nodes are stable, so the pointer stays valid until
+  /// journals_ is cleared.
+  std::thread::id cached_thread_;
+  std::vector<size_t>* cached_journal_ = nullptr;
 };
 
 }  // namespace ocb

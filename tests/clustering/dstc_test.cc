@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <vector>
+
+#include "util/rng.h"
 
 namespace ocb {
 namespace {
@@ -79,6 +82,26 @@ TEST(DstcTest, ReverseCrossingsRespectOption) {
   EXPECT_EQ(dstc.stats().observed_crossings, 0u);
   dstc.OnLinkCross(1, 2, 0, /*reverse=*/false);
   EXPECT_EQ(dstc.stats().observed_crossings, 1u);
+}
+
+TEST(DstcTest, AbortedCrossingsAreNeverCounted) {
+  DstcOptions options;
+  options.observation_period_transactions = 2;
+  options.selection_threshold = 2.0;
+  Dstc dstc(options);
+  RunTransaction(&dstc, {{1, 2}, {5, 6}});
+  dstc.OnTransactionBegin();
+  dstc.OnLinkCross(1, 2, 2, false);
+  dstc.OnLinkCross(3, 4, 2, false);
+  dstc.OnLinkCross(3, 4, 2, false);
+  dstc.OnTransactionAbort();
+  EXPECT_EQ(dstc.stats().observed_crossings, 2u);
+  // The period closes at the second commit, not at the abort, so (5,6)
+  // reaches the threshold of 2 inside it. Had the aborted crossings
+  // counted, (1,2) and (3,4) would reach it too.
+  RunTransaction(&dstc, {{5, 6}});
+  EXPECT_EQ(dstc.consolidated_links(), 1u);
+  EXPECT_EQ(dstc.stats().observed_crossings, 3u);
 }
 
 TEST(DstcTest, ConsolidationDecaysOldKnowledge) {
@@ -211,6 +234,65 @@ TEST_F(DstcReorganizeTest, ResetStatisticsForgets) {
   EXPECT_EQ(dstc.consolidated_links(), 0u);
   ASSERT_TRUE(dstc.Reorganize(&db_).ok());
   EXPECT_EQ(dstc.stats().reorganizations, 0u);
+}
+
+TEST_F(DstcReorganizeTest, SeededStreamIsPinned) {
+  // A seeded crossing stream: four full periods, every fifth transaction
+  // aborted, decay, pruning, and a partial period that Reorganize closes.
+  // The hot window drifts by 12 objects a period, so old links decay
+  // below the pruning floor. Every expected value below was recorded from
+  // the hash-map observation matrix this implementation replaced.
+  DstcOptions options;
+  options.observation_period_transactions = 6;
+  options.selection_threshold = 2.0;
+  options.consolidation_decay = 0.5;
+  options.unit_link_threshold = 1.0;
+  Dstc dstc(options);
+  LewisPayneRng rng(2024);
+  std::vector<size_t> links_after_period;
+  uint64_t committed = 0;
+  for (int t = 0; committed < 4 * 6 + 3; ++t) {
+    const int64_t window = static_cast<int64_t>(12 * (committed / 6));
+    dstc.OnTransactionBegin();
+    const int64_t crossings = rng.UniformInt(4, 24);
+    for (int64_t c = 0; c < crossings; ++c) {
+      const int64_t from = (window + rng.UniformInt(0, 11)) % 60;
+      const int64_t to = rng.Bernoulli(0.8)
+                             ? (from + rng.UniformInt(1, 3)) % 60
+                             : rng.UniformInt(0, 59);
+      const bool reverse = rng.Bernoulli(0.3);
+      dstc.OnLinkCross(oids_[static_cast<size_t>(from)],
+                       oids_[static_cast<size_t>(to)], 2, reverse);
+    }
+    if (t % 5 == 4) {
+      dstc.OnTransactionAbort();
+      continue;
+    }
+    dstc.OnTransactionEnd();
+    if (++committed % 6 == 0) {
+      links_after_period.push_back(dstc.consolidated_links());
+    }
+  }
+  ASSERT_TRUE(dstc.Reorganize(&db_).ok());
+  std::map<Oid, size_t> index;
+  for (size_t i = 0; i < oids_.size(); ++i) index[oids_[i]] = i;
+  std::vector<std::vector<size_t>> units;
+  for (const auto& unit : dstc.last_units()) {
+    units.emplace_back();
+    for (Oid oid : unit) units.back().push_back(index.at(oid));
+  }
+  EXPECT_EQ(links_after_period, (std::vector<size_t>{16, 32, 54, 72}));
+  EXPECT_EQ(dstc.consolidated_links(), 68u);
+  EXPECT_EQ(dstc.stats().observed_crossings, 351u);
+  EXPECT_EQ(units, (std::vector<std::vector<size_t>>{
+                       {51, 52, 50, 54},
+                       {0, 59, 58},
+                       {53, 56, 57},
+                       {45, 48, 42, 44, 46, 47, 49, 41, 43},
+                       {27, 30},
+                       {24, 26},
+                       {34, 37, 38, 40, 39},
+                   }));
 }
 
 TEST(NoClusteringTest, NeverMoves) {

@@ -3,7 +3,8 @@
 // Database (every member gets its own consecutive timestamp; snapshots
 // see whole transactions), concurrent-session durability, one real WAL
 // fsync per writer batch, and 2PC batch atomicity under an abort
-// injected mid-batch on the sharded engine.
+// injected mid-batch on the sharded engine, and DSTC statistics under
+// batches whose commit callbacks all run on the leader's thread.
 
 #include "concurrency/commit_pipeline.h"
 
@@ -13,14 +14,19 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <map>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "clustering/dstc.h"
 #include "engine/session.h"
 #include "oodb/database.h"
 #include "sharding/sharded_database.h"
+#include "util/rng.h"
 #include "wal/wal_writer.h"
 
 namespace ocb {
@@ -287,6 +293,117 @@ TEST(GroupCommitTest, RealWalForcesOncePerWriterBatch) {
               static_cast<uint64_t>(kThreads) * kTxnsPerThread);
     EXPECT_EQ(db.wal()->forces() - forces_before,
               after.batches - before.batches);
+  }
+  std::remove(wal.c_str());
+}
+
+/// DSTC that remembers, per client thread, each crossing it forwards, and
+/// keeps those of the transactions whose client saw Commit() succeed.
+class RecordingDstc : public Dstc {
+ public:
+  using Dstc::Dstc;
+
+  void OnLinkCross(Oid from, Oid to, RefTypeId type, bool reverse) override {
+    if (from != kInvalidOid && to != kInvalidOid && from != to) {
+      std::lock_guard<std::mutex> lock(mu_);
+      pending_[std::this_thread::get_id()].push_back({from, to});
+    }
+    Dstc::OnLinkCross(from, to, type, reverse);
+  }
+
+  /// Called on the client thread once its transaction has finished.
+  void Finish(bool committed) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto& mine = pending_[std::this_thread::get_id()];
+    if (committed) committed_.insert(mine.begin(), mine.end());
+    mine.clear();
+  }
+
+  size_t distinct_committed_pairs() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return committed_.size();
+  }
+
+ private:
+  std::mutex mu_;
+  std::map<std::thread::id, std::vector<std::pair<Oid, Oid>>> pending_;
+  std::set<std::pair<Oid, Oid>> committed_;
+};
+
+TEST(GroupCommitTest, DstcCountsEveryCommittedCrossingOfABatch) {
+  // CommitBatch runs OnTransactionEnd for every member on the leader's
+  // thread, so a policy that folds a transaction's crossings in at End,
+  // under the ending thread's id, loses the followers' crossings. Four
+  // 2PL writers traverse a shared graph, each from its own roots, and
+  // rewrite a private object through a real WAL, so batches form; every
+  // fifth transaction aborts instead. With one open period, a threshold
+  // of 1 and no decay, the consolidated matrix must hold exactly the
+  // committed pairs.
+  const std::string wal = testing::TempDir() + "/ocb_group_commit_dstc.wal";
+  std::remove(wal.c_str());
+  StorageOptions opts = TestOptions();
+  opts.wal_path = wal;
+  {
+    Database db(opts);
+    db.SetSchema(TwoClassSchema());
+    ASSERT_TRUE(db.wal_enabled());
+    constexpr int kThreads = 4;
+    constexpr int kTxnsPerThread = 40;
+    constexpr int64_t kGraph = kThreads * kTxnsPerThread * 2;
+    std::vector<Oid> graph;
+    for (int64_t i = 0; i < kGraph; ++i) graph.push_back(*db.CreateObject(0));
+    LewisPayneRng rng(2024);
+    for (Oid from : graph) {
+      for (uint32_t slot = 0; slot < 3; ++slot) {
+        const auto to = static_cast<size_t>(rng.UniformInt(0, kGraph - 1));
+        ASSERT_TRUE(db.SetReference(from, slot, graph[to]).ok());
+      }
+    }
+    // Class 1 objects nobody references: each writer's private target.
+    std::vector<Oid> privates;
+    for (int t = 0; t < kThreads; ++t) privates.push_back(*db.CreateObject(1));
+
+    DstcOptions options;
+    options.observation_period_transactions = 1u << 30;
+    options.selection_threshold = 1.0;
+    options.consolidation_decay = 1.0;
+    RecordingDstc dstc(options);
+    db.SetObserver(&dstc);
+
+    std::atomic<bool> failed{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t]() {
+        auto session = db.OpenSession();
+        for (int i = 0; i < kTxnsPerThread; ++i) {
+          auto txn = session.Begin(TxnMode::k2PL);
+          auto root = txn.Get(graph[static_cast<size_t>(
+              2 * (t * kTxnsPerThread + i))]);
+          if (!root.ok() || !txn.Traverse(*root, 2, TraversePolicy{}).ok()) {
+            failed = true;
+            return;
+          }
+          auto mine = txn.Get(privates[static_cast<size_t>(t)]);
+          if (!mine.ok() || !txn.Put(*mine).ok()) {
+            failed = true;
+            return;
+          }
+          const bool commit = i % 5 != 4;
+          if (!(commit ? txn.Commit() : txn.Abort()).ok()) {
+            failed = true;
+            return;
+          }
+          dstc.Finish(commit);
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    db.SetObserver(nullptr);
+    ASSERT_FALSE(failed);
+
+    ASSERT_TRUE(dstc.Reorganize(&db).ok());
+    EXPECT_GT(dstc.distinct_committed_pairs(), 0u);
+    EXPECT_EQ(dstc.consolidated_links(), dstc.distinct_committed_pairs());
   }
   std::remove(wal.c_str());
 }

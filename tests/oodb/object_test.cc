@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace ocb {
 namespace {
 
@@ -70,6 +72,56 @@ TEST(ObjectCodecTest, FillerTamperingIsDetected) {
   obj.EncodeTo(&bytes);
   bytes.back() ^= 0xFF;  // Flip a filler byte.
   EXPECT_TRUE(Object::Decode(bytes).status().IsCorruption());
+}
+
+// Class ids whose ramp start (c * 131) & 0xFF lies above 200, so the
+// filler ramp wraps past 0xFF within its first 56 bytes.
+constexpr ClassId kWrappingClasses[] = {25, 39};
+
+TEST(ObjectCodecTest, FillerRoundTripsAcross256ByteWindows) {
+  for (ClassId c : {ClassId{0}, ClassId{3}, kWrappingClasses[0],
+                    kWrappingClasses[1]}) {
+    for (uint32_t size : {0u, 1u, 255u, 256u, 257u, 1000u}) {
+      Object obj;
+      obj.class_id = c;
+      obj.orefs = {c + 1};
+      obj.filler_size = size;
+      std::vector<uint8_t> bytes;
+      obj.EncodeTo(&bytes);
+      ASSERT_EQ(bytes.size(), obj.EncodedSize());
+      const size_t filler = bytes.size() - size;
+      for (uint32_t i = 0; i < size; ++i) {
+        ASSERT_EQ(bytes[filler + i],
+                  static_cast<uint8_t>((c * 131 + i) & 0xFF))
+            << "class " << c << " size " << size << " offset " << i;
+      }
+      auto decoded = Object::Decode(bytes);
+      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+      EXPECT_EQ(decoded->class_id, c);
+      EXPECT_EQ(decoded->orefs, obj.orefs);
+      EXPECT_EQ(decoded->filler_size, size);
+    }
+  }
+}
+
+TEST(ObjectCodecTest, FillerCorruptionNamesTheFirstBadByte) {
+  for (ClassId c : kWrappingClasses) {
+    EXPECT_GT((c * 131) & 0xFF, 200u);
+    Object obj;
+    obj.class_id = c;
+    obj.filler_size = 1000;
+    std::vector<uint8_t> clean;
+    obj.EncodeTo(&clean);
+    const size_t filler = clean.size() - obj.filler_size;
+    for (uint32_t offset : {0u, 255u, 256u, 999u}) {
+      std::vector<uint8_t> bytes = clean;
+      bytes[filler + offset] ^= 0x5A;
+      const Status st = Object::Decode(bytes).status();
+      EXPECT_TRUE(st.IsCorruption());
+      EXPECT_EQ(st.message(),
+                "filler corruption at byte " + std::to_string(offset));
+    }
+  }
 }
 
 TEST(ObjectCodecTest, RefTamperingIsAccepted) {
