@@ -3,7 +3,8 @@
 ///        paths — RNG draws, distribution sampling, page operations,
 ///        buffer-pool hits, misses and batched misses, disk reads,
 ///        uncontended lock acquire/release and commit-pipeline submit,
-///        object codec, DSTC observation, and generator throughput.
+///        object codec, object-table lookup and live-oid listing, DSTC
+///        observation, and generator throughput.
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +17,7 @@
 #include "concurrency/lock_manager.h"
 #include "oodb/database.h"
 #include "ocb/generator.h"
+#include "sharding/sharded_database.h"
 #include "storage/buffer_pool.h"
 #include "util/distribution.h"
 #include "util/rng.h"
@@ -210,6 +212,68 @@ void BM_ObjectReadThroughDatabase(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ObjectReadThroughDatabase);
+
+DatabaseParameters TwentyThousandObjects() {
+  DatabaseParameters params;
+  params.num_objects = 20000;
+  return params;
+}
+
+// The object-table floor: Contains of a live oid over the table of a
+// 20,000-object base (every object read does two such lookups: the
+// resolution and its re-validation under the page latch). The oids are
+// drawn before timing.
+void BM_ObjectTableLookup(benchmark::State& state) {
+  StorageOptions options;
+  Database db(options);
+  if (!GenerateDatabase(TwentyThousandObjects(), &db).ok()) {
+    state.SkipWithError("generation failed");
+    return;
+  }
+  const std::vector<Oid> live = db.LiveOidsSnapshot();
+  LewisPayneRng rng(7);
+  std::vector<Oid> probes(4096);
+  for (Oid& oid : probes) {
+    oid = live[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1))];
+  }
+  const ObjectStore* store = db.object_store();
+  size_t next = 0;
+  for (auto _ : state) {
+    const bool hit = store->Contains(probes[next++ % probes.size()]);
+    benchmark::DoNotOptimize(hit);
+  }
+}
+BENCHMARK(BM_ObjectTableLookup);
+
+// Root-pool repair as OCB's read/write mix runs it after each committed
+// delete: one LiveOidsSnapshot of a 20,000-object base. Arg 1 is a
+// Database; 4 a ShardedDatabase of 4 shards, which merges their lists.
+void BM_LiveOidsSnapshot(benchmark::State& state) {
+  const auto run = [&state](auto* db) {
+    if (!GenerateDatabase(TwentyThousandObjects(), db).ok()) {
+      state.SkipWithError("generation failed");
+      return;
+    }
+    size_t listed = 0;
+    for (auto _ : state) {
+      const std::vector<Oid> live = db->LiveOidsSnapshot();
+      benchmark::DoNotOptimize(live.data());
+      listed += live.size();
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(listed));
+  };
+  StorageOptions options;
+  if (state.range(0) == 1) {
+    Database db(options);
+    run(&db);
+  } else {
+    ShardedDatabase db(options, static_cast<uint32_t>(state.range(0)));
+    run(&db);
+  }
+}
+BENCHMARK(BM_LiveOidsSnapshot)->Arg(1)->Arg(4)
+    ->Unit(benchmark::kMicrosecond);
 
 // DSTC's phase 1 as ocb-cluster drives it: one transaction of 360 link
 // crossings per iteration, 500-transaction observation periods whose

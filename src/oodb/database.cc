@@ -102,6 +102,8 @@ void Database::RegisterObsCallbacks() {
   reg.Register("db.store.relocations", [this] {
     return store_->stats().relocations.load(std::memory_order_relaxed);
   });
+  reg.Register("db.store.table_bytes",
+               [this] { return store_->table_bytes(); });
   reg.Register("db.lock.acquisitions",
                [this] { return lock_manager_.stats().acquisitions; });
   reg.Register("db.lock.waits",

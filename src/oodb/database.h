@@ -578,8 +578,8 @@ class Database {
     return occ_conflicts_.load(std::memory_order_relaxed);
   }
 
-  /// Copy of all live oids (the object table is internally striped; the
-  /// copy is consistent-enough for root-pool maintenance).
+  /// Copy of all live oids, ascending (the object table is internally
+  /// striped; the copy is consistent-enough for root-pool maintenance).
   std::vector<Oid> LiveOidsSnapshot();
 
   /// True when \p oid is currently live.

@@ -253,10 +253,22 @@ Status LoadSnapshot(Database* db, const std::string& path) {
     ObjectLocation loc;
     loc.page_id = r.U32();
     loc.slot_id = r.U16();
+    if (!r.ok()) break;  // Reported as a short read below.
     if (loc.page_id >= page_count) {
       return Status::Corruption("table entry past page count");
     }
-    table[oid] = loc;
+    // Every live oid was allocated before the saved counter; an entry at
+    // or past it would be handed out again by AllocateOid.
+    if (!db->object_store()->CanHold(oid) || oid >= next_oid) {
+      return Status::Corruption(Format(
+          "table entry oid %llu is not one this store allocated "
+          "(next_oid %llu)",
+          (unsigned long long)oid, (unsigned long long)next_oid));
+    }
+    if (!table.emplace(oid, loc).second) {
+      return Status::Corruption(
+          Format("duplicate table entry for oid %llu", (unsigned long long)oid));
+    }
   }
 
   // Page images.

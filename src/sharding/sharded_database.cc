@@ -544,12 +544,21 @@ std::vector<Oid> ShardedDatabase::ExtentSnapshot(ClassId class_id,
 }
 
 std::vector<Oid> ShardedDatabase::LiveOidsSnapshot() {
-  std::vector<Oid> out;
+  std::vector<std::vector<Oid>> parts;
+  parts.reserve(shards_.size());
+  size_t total = 0;
   for (auto& shard : shards_) {
-    std::vector<Oid> part = shard->LiveOidsSnapshot();
-    out.insert(out.end(), part.begin(), part.end());
+    parts.push_back(shard->LiveOidsSnapshot());
+    total += parts.back().size();
   }
-  std::sort(out.begin(), out.end());
+  // Each shard's list is ascending: merge them instead of re-sorting.
+  std::vector<Oid> out;
+  out.reserve(total);
+  for (const std::vector<Oid>& part : parts) {
+    const auto merged = static_cast<std::ptrdiff_t>(out.size());
+    out.insert(out.end(), part.begin(), part.end());
+    std::inplace_merge(out.begin(), out.begin() + merged, out.end());
+  }
   return out;
 }
 

@@ -20,9 +20,9 @@ constexpr int kMaxResolveAttempts = 64;
 ObjectStore::ObjectStore(BufferPool* pool, Oid first_oid,
                          uint64_t oid_stride)
     : pool_(pool),
-      table_(pool->latch_stripes()),
       first_oid_(first_oid < 1 ? 1 : first_oid),
       oid_stride_(oid_stride < 1 ? 1 : oid_stride),
+      table_(pool->latch_stripes(), first_oid_, oid_stride_),
       next_oid_(first_oid_) {}
 
 Result<ObjectLocation> ObjectStore::Place(std::span<const uint8_t> bytes,
@@ -89,15 +89,36 @@ Result<Oid> ObjectStore::Insert(std::span<const uint8_t> bytes,
   }
   OCB_ASSIGN_OR_RETURN(ObjectLocation loc, Place(bytes, hint_page));
   const Oid oid = AllocateOid();
-  table_.Put(oid, loc);
+  if (!table_.Put(oid, loc)) {
+    Unplace(loc);
+    return Status::InvalidArgument(
+        Format("oid %llu has no slot in the object table (cap %llu slots)",
+               (unsigned long long)oid,
+               (unsigned long long)StripedOidMap::kMaxSlots));
+  }
   stats_.objects.fetch_add(1, std::memory_order_relaxed);
   stats_.bytes_stored.fetch_add(bytes.size(), std::memory_order_relaxed);
   return oid;
 }
 
+void ObjectStore::Unplace(ObjectLocation loc) {
+  auto handle = pool_->FetchPage(loc.page_id, LatchMode::kExclusive);
+  if (handle.ok()) {
+    Page page = handle->page();
+    (void)page.Erase(loc.slot_id);
+    handle->MarkDirty();
+    free_space_.Update(loc.page_id, page.FreeSpace());
+  }
+}
+
 Status ObjectStore::InsertWithOid(Oid oid, std::span<const uint8_t> bytes) {
-  if (oid == kInvalidOid) {
-    return Status::InvalidArgument("InsertWithOid requires a valid oid");
+  if (!table_.Holds(oid)) {
+    return Status::InvalidArgument(Format(
+        "oid %llu is not one this store can hold (progression %llu + k*%llu, "
+        "k < %llu)",
+        (unsigned long long)oid, (unsigned long long)first_oid_,
+        (unsigned long long)oid_stride_,
+        (unsigned long long)StripedOidMap::kMaxSlots));
   }
   if (table_.Contains(oid)) {
     return Status::AlreadyExists(
@@ -108,30 +129,18 @@ Status ObjectStore::InsertWithOid(Oid oid, std::span<const uint8_t> bytes) {
   }
   OCB_ASSIGN_OR_RETURN(ObjectLocation loc, Place(bytes, kInvalidPageId));
   if (!table_.PutIfAbsent(oid, loc)) {
-    // Lost a (caller-contract-violating) race to register the same oid;
-    // undo the placement so no orphan record leaks.
-    auto handle = pool_->FetchPage(loc.page_id, LatchMode::kExclusive);
-    if (handle.ok()) {
-      Page page = handle->page();
-      (void)page.Erase(loc.slot_id);
-      handle->MarkDirty();
-      free_space_.Update(loc.page_id, page.FreeSpace());
-    }
+    // Lost a (caller-contract-violating) race to register the same oid.
+    Unplace(loc);
     return Status::AlreadyExists(
         Format("oid %llu is live", (unsigned long long)oid));
   }
-  // Keep the allocator ahead of re-registered oids while staying on the
-  // store's progression (first_oid_ + k * oid_stride_): the bump target is
-  // the smallest progression member > oid. Foreign oids below first_oid_
-  // can never collide with future allocations, so they skip the bump.
-  if (oid >= first_oid_) {
-    const Oid bumped =
-        oid + oid_stride_ - (oid - first_oid_) % oid_stride_;
-    Oid expected = next_oid_.load(std::memory_order_relaxed);
-    while (bumped > expected &&
-           !next_oid_.compare_exchange_weak(expected, bumped,
-                                            std::memory_order_relaxed)) {
-    }
+  // Keep the allocator ahead of re-registered oids: oid is on the
+  // progression, so the next member after it is oid + oid_stride_.
+  const Oid bumped = oid + oid_stride_;
+  Oid expected = next_oid_.load(std::memory_order_relaxed);
+  while (bumped > expected &&
+         !next_oid_.compare_exchange_weak(expected, bumped,
+                                          std::memory_order_relaxed)) {
   }
   stats_.objects.fetch_add(1, std::memory_order_relaxed);
   stats_.bytes_stored.fetch_add(bytes.size(), std::memory_order_relaxed);
@@ -479,7 +488,6 @@ std::vector<Oid> ObjectStore::LiveOids() const {
   oids.reserve(static_cast<size_t>(table_.size()));
   table_.ForEach(
       [&](Oid oid, const ObjectLocation&) { oids.push_back(oid); });
-  std::sort(oids.begin(), oids.end());
   return oids;
 }
 
@@ -490,7 +498,10 @@ Status ObjectStore::RestoreTable(
   std::unordered_set<PageId> pages;
   for (const auto& [oid, loc] : table) pages.insert(loc.page_id);
   const uint64_t object_count = table.size();
-  table_.Reset(std::move(table));
+  if (!table_.Reset(std::move(table))) {
+    return Status::Corruption("snapshot table holds an oid this store "
+                              "cannot hold");
+  }
   next_oid_.store(next_oid, std::memory_order_relaxed);
   current_fill_page_.store(kInvalidPageId, std::memory_order_relaxed);
   free_space_.Clear();

@@ -15,11 +15,13 @@
 ///     it kExclusive, so readers of one page proceed in parallel and never
 ///     observe a torn record. No caller-side serialization is required —
 ///     the Database facade latch no longer covers physical access.
-///   * The object table is a striped hash map (see striped_oid_map.h).
-///     Resolution is optimistic: look up the location, latch the page,
-///     re-validate the entry under the latch — a concurrent relocation
-///     publishes the new location while holding *both* page latches, so a
-///     validated entry proves the record is where the table says.
+///   * The object table is striped and dense: each stripe a vector
+///     indexed by the oid's slot in the store's allocation progression
+///     (see striped_oid_map.h). Resolution is optimistic: look up the
+///     location, latch the page, re-validate the entry under the latch —
+///     a concurrent relocation publishes the new location while holding
+///     *both* page latches, so a validated entry proves the record is
+///     where the table says.
 ///   * Insert/Update-relocation/Relocate latch source and destination
 ///     pages in ascending page-id order (a fresh destination page always
 ///     has the highest id yet, so the fresh-page path is ascending by
@@ -90,7 +92,8 @@ class ObjectStore {
   ObjectStore& operator=(const ObjectStore&) = delete;
 
   /// Stores \p bytes as a new object and returns its Oid (the next value
-  /// of the store's allocation progression).
+  /// of the store's allocation progression). InvalidArgument once the
+  /// progression runs past the object table's slot cap.
   ///
   /// \param placement_hint If valid, try to co-locate the new object on the
   ///        same page as the hinted object (clustering policies use this).
@@ -108,8 +111,14 @@ class ObjectStore {
   /// Registers \p oid — drawn by AllocateOid, or previously allocated and
   /// since deleted — with the given bytes. Used by a transactional create
   /// and by transaction rollback to restore the pre-image of an object the
-  /// aborting transaction deleted. AlreadyExists if \p oid is live.
+  /// aborting transaction deleted. AlreadyExists if \p oid is live;
+  /// InvalidArgument if the store cannot hold it (see CanHold).
   Status InsertWithOid(Oid oid, std::span<const uint8_t> bytes);
+
+  /// True if \p oid lies on the store's allocation progression with a slot
+  /// below StripedOidMap::kMaxSlots: the only oids the object table can
+  /// hold. kInvalidOid and another shard's oids never qualify.
+  bool CanHold(Oid oid) const { return table_.Holds(oid); }
 
   /// Copies the object's bytes into \p out (under the page's shared
   /// latch, so the copy is never torn by a concurrent writer).
@@ -162,7 +171,8 @@ class ObjectStore {
     return Page::MaxRecordSize(pool_->disk()->page_size());
   }
 
-  /// Oids of all live objects, ascending.
+  /// Oids of all live objects, ascending (one pass over the table's
+  /// slots; no sort).
   std::vector<Oid> LiveOids() const;
 
   /// Oids of all live objects in physical order (page, then slot) —
@@ -180,6 +190,9 @@ class ObjectStore {
 
   const ObjectStoreStats& stats() const { return stats_; }
 
+  /// Bytes the object table's slots take (8 per allocated slot).
+  uint64_t table_bytes() const { return table_.bytes(); }
+
   BufferPool* buffer_pool() { return pool_; }
 
   // --- Snapshot support (see oodb/snapshot.h) ---
@@ -193,6 +206,7 @@ class ObjectStore {
   /// Restores the table and oid counter from a snapshot, then rebuilds
   /// free-space and statistics by scanning every data page. Requires the
   /// underlying disk to already hold the snapshot's page images.
+  /// Corruption if the table holds an oid the store cannot (see CanHold).
   Status RestoreTable(std::unordered_map<Oid, ObjectLocation> table,
                       Oid next_oid);
 
@@ -213,6 +227,10 @@ class ObjectStore {
   Result<ObjectLocation> MoveRecord(Oid oid, std::span<const uint8_t> bytes,
                                     PageId hint_page);
 
+  /// Erases the record a failed registration placed at \p loc, so no
+  /// orphan record leaks.
+  void Unplace(ObjectLocation loc);
+
   /// Erases \p oid's record (validated against the table under the page's
   /// X latch) and removes the table entry. Returns the erased record's
   /// size via \p erased_bytes when non-null.
@@ -220,9 +238,9 @@ class ObjectStore {
 
   BufferPool* pool_;
   FreeSpaceMap free_space_;
-  StripedOidMap table_;
   const Oid first_oid_;
   const uint64_t oid_stride_;
+  StripedOidMap table_;
   std::atomic<Oid> next_oid_;
   std::atomic<PageId> current_fill_page_{kInvalidPageId};
   ObjectStoreStats stats_;

@@ -7,7 +7,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <thread>
+#include <vector>
 
 #include "engine/session.h"
 #include "ocb/generator.h"
@@ -34,6 +36,34 @@ DatabaseParameters SmallDb() {
 
 std::string TempPath(const char* name) {
   return testing::TempDir() + "/" + name;
+}
+
+std::vector<uint8_t> ReadFileBytes(const std::string& path) {
+  std::vector<uint8_t> bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  std::fseek(f, 0, SEEK_END);
+  bytes.resize(static_cast<size_t>(std::ftell(f)));
+  std::fseek(f, 0, SEEK_SET);
+  if (std::fread(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
+    bytes.clear();
+  }
+  std::fclose(f);
+  return bytes;
+}
+
+bool WriteFileBytes(const std::string& path,
+                    const std::vector<uint8_t>& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return false;
+  const bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+  return std::fclose(f) == 0 && ok;
+}
+
+uint64_t U64At(const std::vector<uint8_t>& bytes, size_t at) {
+  uint64_t v = 0;
+  std::memcpy(&v, bytes.data() + at, sizeof(v));
+  return v;
 }
 
 class SnapshotTest : public ::testing::Test {
@@ -219,6 +249,55 @@ TEST_F(SnapshotTest, RejectsTruncatedFile) {
   ASSERT_EQ(truncate(path_.c_str(), size / 2), 0);
   Database db(TestOptions());
   EXPECT_TRUE(LoadSnapshot(&db, path_).IsCorruption());
+}
+
+// A table entry the store could not have allocated is refused at load:
+// kInvalidOid, an oid off the store's progression, one at or past the
+// saved next_oid (AllocateOid would hand it out again), and a duplicate.
+TEST_F(SnapshotTest, RejectsTableEntriesTheStoreCannotHold) {
+  StorageOptions opts = TestOptions();
+  opts.first_oid = 3;  // The progression 3, 7, 11, …
+  opts.oid_stride = 4;
+  Database original(opts);
+  ASSERT_TRUE(GenerateDatabase(SmallDb(), &original).ok());
+  ASSERT_TRUE(SaveSnapshot(&original, path_).ok());
+  const std::vector<uint8_t> saved = ReadFileBytes(path_);
+  ASSERT_GT(saved.size(), 24u);
+
+  // The table sits right before the page images: u64 next_oid, u64
+  // entries, then 14 bytes an entry (u64 oid, u32 page, u16 slot).
+  constexpr size_t kEntryBytes = 14;
+  const uint64_t entries = original.object_count();
+  const size_t pages_at =
+      saved.size() - static_cast<size_t>(U64At(saved, 8) * U64At(saved, 16));
+  const size_t table_at = pages_at - entries * kEntryBytes;
+  const Oid next_oid = original.object_store()->max_oid() + 1;
+  ASSERT_EQ(U64At(saved, table_at - 16), next_oid);
+  ASSERT_EQ(U64At(saved, table_at - 8), entries);
+
+  struct Case {
+    const char* name;
+    size_t entry;
+    Oid oid;
+  };
+  const Case cases[] = {
+      {"kInvalidOid", 0, kInvalidOid},
+      {"off the progression", 0, 5},
+      {"at next_oid", 0, next_oid},
+      {"duplicate", 1, U64At(saved, table_at)},
+  };
+  for (const Case& c : cases) {
+    std::vector<uint8_t> patched = saved;
+    std::memcpy(patched.data() + table_at + c.entry * kEntryBytes, &c.oid,
+                sizeof(Oid));
+    ASSERT_TRUE(WriteFileBytes(path_, patched));
+    Database db(opts);
+    EXPECT_TRUE(LoadSnapshot(&db, path_).IsCorruption()) << c.name;
+  }
+  ASSERT_TRUE(WriteFileBytes(path_, saved));
+  Database db(opts);
+  EXPECT_TRUE(LoadSnapshot(&db, path_).ok());
+  EXPECT_EQ(db.LiveOidsSnapshot(), original.LiveOidsSnapshot());
 }
 
 TEST_F(SnapshotTest, MissingFileIsIOError) {

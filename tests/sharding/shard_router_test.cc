@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <vector>
 
 #include "ocb/generator.h"
 #include "ocb/parameters.h"
@@ -136,6 +137,34 @@ TEST(ShardRouterTest, GenerationIsLogicallyIdenticalAcrossShardCounts) {
     EXPECT_EQ(a->backrefs, b->backrefs);
     EXPECT_EQ(a->backrefs, c->backrefs);
   }
+}
+
+// The sharded listing merges the shards' ascending lists: after deletes
+// on every shard and fresh creates it still equals the single store's.
+TEST(ShardRouterTest, LiveOidsMatchSingleStoreAfterDeletesOnEveryShard) {
+  const DatabaseParameters params = SmallDatabase();
+  Database single(TestOptions());
+  ASSERT_TRUE(GenerateDatabase(params, &single).ok());
+  ShardedDatabase sharded(TestOptions(), 4);
+  ASSERT_TRUE(GenerateDatabase(params, &sharded).ok());
+
+  // Every 7th oid: the deleted oids cover all four residues mod 4.
+  std::vector<bool> shard_hit(4, false);
+  for (Oid oid = 1; oid <= params.num_objects; oid += 7) {
+    ASSERT_TRUE(single.DeleteObject(oid).ok()) << "oid " << oid;
+    ASSERT_TRUE(sharded.DeleteObject(oid).ok()) << "oid " << oid;
+    shard_hit[sharded.router().ShardOf(oid)] = true;
+  }
+  EXPECT_EQ(shard_hit, std::vector<bool>(4, true));
+  for (int i = 0; i < 8; ++i) {
+    auto a = single.CreateObject(i % 2);
+    auto b = sharded.CreateObject(i % 2);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(*a, *b);
+  }
+  const std::vector<Oid> oids = single.LiveOidsSnapshot();
+  EXPECT_EQ(oids.size(), params.num_objects - 43 + 8);
+  EXPECT_EQ(sharded.LiveOidsSnapshot(), oids);
 }
 
 TEST(ShardRouterTest, ShardedSnapshotRoundTrips) {

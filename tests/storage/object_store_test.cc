@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <functional>
 #include <map>
 #include <thread>
 #include <vector>
@@ -16,11 +18,12 @@ namespace ocb {
 namespace {
 
 struct Fixture {
-  explicit Fixture(size_t frames = 64, size_t page_size = 512)
+  explicit Fixture(size_t frames = 64, size_t page_size = 512,
+                   Oid first_oid = 1, uint64_t oid_stride = 1)
       : options(MakeOptions(frames, page_size)),
         disk(options),
         pool(&disk, options),
-        store(&pool) {}
+        store(&pool, first_oid, oid_stride) {}
 
   static StorageOptions MakeOptions(size_t frames, size_t page_size) {
     StorageOptions o;
@@ -199,6 +202,80 @@ TEST(ObjectStoreTest, LiveOidsSortedAndComplete) {
   EXPECT_EQ(live.size(), 8u);
   EXPECT_TRUE(std::is_sorted(live.begin(), live.end()));
   EXPECT_EQ(std::count(live.begin(), live.end(), inserted[3]), 0);
+}
+
+// A store on the progression 3, 7, 11, … (shard 2 of 4). The table
+// indexes slot (oid - 3) / 4, so 601 objects grow every stripe's vector
+// through several doublings.
+TEST(ObjectStoreTest, StridedTableTracksInsertsDeletesAndGrowth) {
+  Fixture f(/*frames=*/64, /*page_size=*/512, /*first_oid=*/3,
+            /*oid_stride=*/4);
+  constexpr Oid kCount = 600;
+  std::map<Oid, uint8_t> live;
+  for (Oid i = 0; i < kCount; ++i) {
+    auto oid = f.store.Insert(Payload(12, static_cast<uint8_t>(i)));
+    ASSERT_TRUE(oid.ok());
+    ASSERT_EQ(*oid, 3 + 4 * i);
+    live[*oid] = static_cast<uint8_t>(i);
+  }
+  for (Oid oid = 3; oid < 3 + 4 * kCount; oid += 4 * 7) {
+    ASSERT_TRUE(f.store.Delete(oid).ok());
+    live.erase(oid);
+  }
+  // The undo path re-registers a deleted oid with its pre-image.
+  const Oid restored = 3 + 4 * 7;
+  ASSERT_FALSE(f.store.Contains(restored));
+  ASSERT_TRUE(f.store.InsertWithOid(restored, Payload(12, 0xAB)).ok());
+  live[restored] = 0xAB;
+  EXPECT_TRUE(
+      f.store.InsertWithOid(restored, Payload(12, 0)).IsAlreadyExists());
+  // The allocator continues on the progression.
+  auto next = f.store.Insert(Payload(12, 0xCD));
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(*next, 3 + 4 * kCount);
+  live[*next] = 0xCD;
+
+  std::vector<Oid> expected;
+  for (const auto& [oid, fill] : live) {
+    expected.push_back(oid);
+    std::vector<uint8_t> out;
+    ASSERT_TRUE(f.store.Read(oid, &out).ok()) << "oid " << oid;
+    EXPECT_EQ(out, Payload(12, fill));
+  }
+  EXPECT_EQ(f.store.LiveOids(), expected);
+  EXPECT_EQ(f.store.stats().objects, live.size());
+  // 601 slots: every stripe (a power-of-two count of them) doubled to a
+  // power of two, 8 bytes a slot.
+  EXPECT_EQ(f.store.table_bytes(), 1024u * 8u);
+  // Oids off the progression are absent, whatever their neighbours hold.
+  for (Oid oid : {Oid{0}, Oid{1}, Oid{2}, Oid{4}, Oid{5}, Oid{6}, Oid{8},
+                  Oid{3 + 4 * kCount + 1}}) {
+    EXPECT_FALSE(f.store.Contains(oid)) << "oid " << oid;
+    EXPECT_TRUE(f.store.Locate(oid).status().IsNotFound()) << "oid " << oid;
+  }
+}
+
+TEST(ObjectStoreTest, InsertWithOidRefusesOidsTheTableCannotHold) {
+  {
+    Fixture f;
+    EXPECT_TRUE(
+        f.store.InsertWithOid(kInvalidOid, Payload(8, 1)).IsInvalidArgument());
+  }
+  Fixture f(/*frames=*/64, /*page_size=*/512, /*first_oid=*/3,
+            /*oid_stride=*/4);
+  for (Oid oid : {kInvalidOid, Oid{1}, Oid{2}, Oid{4}, Oid{5}, Oid{13},
+                  Oid{3 + 4 * StripedOidMap::kMaxSlots}}) {
+    EXPECT_FALSE(f.store.CanHold(oid)) << "oid " << oid;
+    EXPECT_TRUE(f.store.InsertWithOid(oid, Payload(8, 1)).IsInvalidArgument())
+        << "oid " << oid;
+  }
+  // Nothing was placed and the allocator did not move.
+  EXPECT_EQ(f.store.stats().objects, 0u);
+  EXPECT_EQ(f.store.stats().data_pages, 0u);
+  EXPECT_TRUE(f.store.LiveOids().empty());
+  auto first = f.store.Insert(Payload(8, 1));
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(*first, 3u);
 }
 
 // Property test: random insert/update/delete/relocate/place-sequence ops
@@ -383,6 +460,92 @@ TEST(ObjectStoreTest, ConcurrentInsertDeleteKeepsTableExact) {
   }
   EXPECT_EQ(f.store.stats().objects, expected);
   EXPECT_EQ(f.store.LiveOids().size(), expected);
+}
+
+// Lookups and listings race the table's growth: 4 threads Read/Contains a
+// base set while 2 insert (growing every stripe) and delete, and 1 loops
+// on LiveOids(). Every listing must be strictly ascending and hold every
+// base object that stays live; the last must equal the survivors.
+TEST(ObjectStoreTest, LiveOidsStayAscendingAndExactUnderGrowth) {
+  Fixture f(/*frames=*/64, /*page_size=*/512, /*first_oid=*/3,
+            /*oid_stride=*/4);
+  constexpr int kBase = 200;
+  constexpr int kWriters = 2;
+  constexpr int kInsertsPerWriter = 2000;
+  std::vector<Oid> base, kept;
+  for (int i = 0; i < kBase; ++i) {
+    auto oid = f.store.Insert(Payload(16, 0x5A));
+    ASSERT_TRUE(oid.ok());
+    base.push_back(*oid);
+    if (i % 2 == 1) kept.push_back(*oid);  // Writers delete the even ones.
+  }
+  std::atomic<bool> failed{false};
+  std::atomic<bool> done{false};
+  std::atomic<int> listings{0};
+  std::vector<std::vector<Oid>> created(kWriters);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t]() {
+      LewisPayneRng rng(static_cast<uint64_t>(t) + 41);
+      do {
+        for (Oid oid : kept) {
+          std::vector<uint8_t> out;
+          if (!f.store.Read(oid, &out).ok() || out != Payload(16, 0x5A) ||
+              !f.store.Contains(oid)) {
+            failed = true;
+          }
+          // Any oid, live or not, on or off the progression.
+          (void)f.store.Contains(static_cast<Oid>(rng.UniformInt(0, 6000)));
+        }
+      } while (!done.load() && !failed.load());
+    });
+  }
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w]() {
+      for (int i = 0; i < kInsertsPerWriter && !failed.load(); ++i) {
+        auto oid = f.store.Insert(Payload(16, static_cast<uint8_t>(w + 1)));
+        if (!oid.ok()) {
+          failed = true;
+          return;
+        }
+        if (i % 3 == 0) {
+          if (!f.store.Delete(*oid).ok()) failed = true;
+        } else {
+          created[static_cast<size_t>(w)].push_back(*oid);
+        }
+        const size_t victim = static_cast<size_t>(2 * (i * kWriters + w));
+        if (victim < base.size() && !f.store.Delete(base[victim]).ok()) {
+          failed = true;
+        }
+      }
+    });
+  }
+  std::thread lister([&]() {
+    do {
+      const std::vector<Oid> live = f.store.LiveOids();
+      if (std::adjacent_find(live.begin(), live.end(),
+                             std::greater_equal<Oid>()) != live.end() ||
+          !std::includes(live.begin(), live.end(), kept.begin(),
+                         kept.end())) {
+        failed = true;
+      }
+      listings.fetch_add(1);
+    } while (!done.load() && !failed.load());
+  });
+  for (size_t i = 4; i < threads.size(); ++i) threads[i].join();
+  done = true;
+  for (size_t i = 0; i < 4; ++i) threads[i].join();
+  lister.join();
+  ASSERT_FALSE(failed) << "lost, unordered or mis-resolved oid";
+  EXPECT_GT(listings.load(), 0);
+
+  std::vector<Oid> survivors = kept;
+  for (const auto& oids : created) {
+    survivors.insert(survivors.end(), oids.begin(), oids.end());
+  }
+  std::sort(survivors.begin(), survivors.end());
+  EXPECT_EQ(f.store.LiveOids(), survivors);
+  EXPECT_EQ(f.store.stats().objects, survivors.size());
 }
 
 }  // namespace
