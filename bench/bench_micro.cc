@@ -2,12 +2,13 @@
 /// \brief Ext-7: google-benchmark microbenchmarks of the substrate hot
 ///        paths — RNG draws, distribution sampling, page operations,
 ///        buffer-pool hits, misses and batched misses, disk reads,
-///        uncontended lock acquire/release and commit-pipeline submit,
-///        object codec, object-table lookup and live-oid listing, DSTC
-///        observation, and generator throughput.
+///        uncontended and contended lock acquire/release, commit-pipeline
+///        submit, version-chain lookup, object codec, object-table lookup
+///        and live-oid listing, DSTC observation, and generator throughput.
 
 #include <benchmark/benchmark.h>
 
+#include <mutex>
 #include <span>
 #include <utility>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "clustering/dstc.h"
 #include "concurrency/commit_pipeline.h"
 #include "concurrency/lock_manager.h"
+#include "concurrency/version_store.h"
 #include "oodb/database.h"
 #include "ocb/generator.h"
 #include "sharding/sharded_database.h"
@@ -160,6 +162,49 @@ void BM_LockAcquireRelease(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 BENCHMARK(BM_LockAcquireRelease)->Arg(1)->Arg(16);
+
+// The contended lock floor: four threads S-lock the same 64 objects, as
+// strict-2PL readers crossing one part of the graph do, then release them
+// all. Timed in wall time: a thread asleep on a mutex uses no CPU.
+void BM_LockAcquireReleaseShared(benchmark::State& state) {
+  constexpr Oid kObjects = 64;
+  static LockManager lm;
+  TransactionContext txn(static_cast<TxnId>(state.thread_index()) + 1);
+  for (auto _ : state) {
+    for (Oid oid = 1; oid <= kObjects; ++oid) {
+      benchmark::DoNotOptimize(lm.Acquire(&txn, oid, LockMode::kShared));
+    }
+    lm.ReleaseAll(&txn);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kObjects));
+}
+BENCHMARK(BM_LockAcquireReleaseShared)->Threads(4)->UseRealTime();
+
+// The version-chain floor: snapshot lookups from four threads over 4,096
+// objects, half of them with a version newer than the snapshot (a copied
+// pre-image) and half with no chain (the read falls through to current
+// state). Each snapshot read of an object makes two such lookups. Wall
+// time, as above.
+void BM_VersionStoreGetVisible(benchmark::State& state) {
+  constexpr Oid kObjects = 4096;
+  static VersionStore store;
+  static std::once_flag filled;
+  std::call_once(filled, [] {
+    for (Oid oid = 2; oid <= kObjects; oid += 2) {
+      store.PublishPreImage(1, oid, std::vector<uint8_t>(100, 7));
+    }
+    store.StampCommitted(1);
+  });
+  std::vector<uint8_t> out;
+  Oid oid = static_cast<Oid>(state.thread_index()) * (kObjects / 4);
+  for (auto _ : state) {
+    oid = oid % kObjects + 1;
+    benchmark::DoNotOptimize(store.GetVisible(oid, 0, &out));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_VersionStoreGetVisible)->Threads(4)->UseRealTime();
 
 // The commit-pipeline floor: one uncontended committer, so every Submit
 // leads a batch of one; the batch function only sets OK.

@@ -22,21 +22,50 @@
 /// (wait_graph.h). A wait timeout (the constructor argument) backstops
 /// waits neither check can see.
 ///
-/// All blocking happens inside Acquire on a per-object condition variable;
-/// the table itself is protected by one mutex (critical sections are a few
-/// map operations — contention on it is far cheaper than the storage work
-/// done while holding the locks it hands out).
+/// The table is split into kStripeCount stripes, each on its own cache
+/// lines with its own mutex, queue table, wait records, statistics and
+/// free lists. An object's stripe is a multiplicative hash of its oid: a
+/// shard's oids all share one residue, so `oid % kStripeCount` would leave
+/// most stripes idle. Acquire takes one stripe mutex and ReleaseAll takes
+/// each stripe it touches once. Emptied queues are parked through
+/// node-handle extract/insert and finished requests through list::splice,
+/// so once the free lists are warm neither path allocates under a mutex.
+///
+/// A transaction that asks again for a lock it already holds is answered
+/// from its own held-lock map before any mutex. Only two threads touch
+/// that map: the owner, and the commit leader while the owner is parked in
+/// CommitPipeline::Submit. Such re-grants are counted in the context and
+/// folded into stats().acquisitions by ReleaseAll.
+///
+/// A request that must wait drops its stripe, takes every stripe of its
+/// manager in ascending order and checks again whether it was granted
+/// meanwhile. If not, it runs the DFS over the live queues and the
+/// GlobalWaitGraph registration, records its wait in its own stripe, and
+/// sleeps on its queue's condition variable holding only that stripe. The
+/// DFS and the record are one atomic step, so of two waits that close a
+/// cycle the later one always sees the earlier. No thread ever holds the
+/// stripes of two managers at once.
+///
+/// Cost: strict-2PL readers S-lock every object a traversal crosses, so
+/// on `ocb-rw-2pl` every client calls Acquire many times per transaction.
+/// Behind one table mutex those calls serialized. A SIGPROF sample of
+/// that workload (seed 1998, 10 s, 4 vCPUs, GCC 12.2) put 31.9% of client
+/// CPU under Acquire and 10.4% under ReleaseAll with one mutex; with the
+/// stripes the run completed 1.8× the transactions and the shares fell
+/// to 15.4% and 6.8%. CHANGES.md lists the benchmark runs.
 
 #ifndef OCB_CONCURRENCY_LOCK_MANAGER_H_
 #define OCB_CONCURRENCY_LOCK_MANAGER_H_
 
+#include <array>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <list>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "concurrency/transaction_context.h"
@@ -82,9 +111,12 @@ class LockManager {
   Status Acquire(TransactionContext* txn, Oid oid, LockMode mode);
 
   /// Releases every lock \p txn holds and wakes eligible waiters.
-  /// Called exactly once, at commit or abort (strict 2PL).
+  /// Called exactly once, at commit or abort (strict 2PL). Also folds the
+  /// transaction's re-grants into stats().acquisitions.
   void ReleaseAll(TransactionContext* txn);
 
+  /// The stripes' counters, summed. Re-grants count from their
+  /// transaction's ReleaseAll on.
   LockManagerStats stats() const;
 
   /// Number of objects with at least one granted or waiting request.
@@ -107,51 +139,109 @@ class LockManager {
   void SetWaitGraph(GlobalWaitGraph* graph) { wait_graph_ = graph; }
 
  private:
+  /// Stripes per manager (a power of two: the hash keeps the top bits).
+  static constexpr unsigned kStripeBits = 4;
+  static constexpr size_t kStripeCount = size_t{1} << kStripeBits;
+
   struct Request {
     TxnId txn = kInvalidTxnId;
     LockMode mode = LockMode::kShared;
     bool granted = false;
     bool upgrade = false;  ///< X request of a txn that holds S.
   };
+  using RequestList = std::list<Request>;
   struct LockQueue {
-    std::list<Request> requests;      ///< Granted block, then FIFO waiters.
+    RequestList requests;  ///< Granted block, then FIFO waiters.
     /// _any: waits relock through ocb::Mutex's Lockable interface so the
     /// lockdep held-stack stays accurate across the sleep.
     std::condition_variable_any cv;
   };
+  using QueueTable = std::unordered_map<Oid, LockQueue>;
+
+  /// One share of the table, on cache lines of its own so that clients
+  /// locking objects of different stripes never write the same line.
+  struct alignas(64) Stripe {
+    explicit Stripe(size_t index)
+        : mu(lockdep::kLockManagerTableClass, index) {}
+
+    mutable Mutex mu;
+    QueueTable queues OCB_GUARDED_BY(mu);
+    /// (waiter, oid) of every sleeping request of this stripe's objects.
+    /// Written under this mutex while every stripe is held, erased under
+    /// this mutex alone; the DFS reads it with every stripe held.
+    std::vector<std::pair<TxnId, Oid>> waits OCB_GUARDED_BY(mu);
+    LockManagerStats stats OCB_GUARDED_BY(mu);
+    /// Emptied queues (with their condition variables) and finished
+    /// requests, reused by the next queue and request of this stripe.
+    std::vector<QueueTable::node_type> spare_queues OCB_GUARDED_BY(mu);
+    RequestList spare_requests OCB_GUARDED_BY(mu);
+  };
+
+  static size_t StripeIndex(Oid oid) {
+    return static_cast<size_t>((oid * 0x9E3779B97F4A7C15ull) >>
+                               (64 - kStripeBits));
+  }
+  Stripe& stripe_of(Oid oid) const { return *stripes_[StripeIndex(oid)]; }
+
+  /// \p oid's queue, taken from the free list or created when it has none.
+  LockQueue& QueueFor(Stripe& stripe, Oid oid) OCB_REQUIRES(stripe.mu);
+
+  /// Links \p request into \p queue before \p pos, reusing a parked node.
+  RequestList::iterator Enqueue(Stripe& stripe, LockQueue& queue,
+                                RequestList::iterator pos,
+                                const Request& request)
+      OCB_REQUIRES(stripe.mu);
+
+  /// Parks \p request (a waiter giving up), then settles its queue.
+  void Dequeue(Stripe& stripe, Oid oid, RequestList::iterator request)
+      OCB_REQUIRES(stripe.mu);
+
+  /// After requests left \p queue: parks the queue when none is left (no
+  /// request, so no sleeper on its cv) and grants what the removal
+  /// allows otherwise.
+  void Settle(Stripe& stripe, QueueTable::iterator queue)
+      OCB_REQUIRES(stripe.mu);
 
   /// Grants every waiter the FIFO policy allows; notifies when any grant
-  /// happened. Requires mu_.
-  void TryGrantQueue(LockQueue* queue) OCB_REQUIRES(mu_);
+  /// happened. Folded S requests of an upgrader are parked in \p stripe.
+  void TryGrantQueue(Stripe& stripe, LockQueue& queue)
+      OCB_REQUIRES(stripe.mu);
+
+  /// The slow path of Acquire for a request left waiting: entered and left
+  /// with no stripe held (see the file comment for the protocol).
+  Status AwaitGrant(TransactionContext* txn, Oid oid, Stripe& stripe,
+                    LockQueue& queue, RequestList::iterator mine);
+
+  /// Take and drop every stripe mutex, in ascending stripe order.
+  void LockAllStripes() const;
+  void UnlockAllStripes() const;
 
   /// True when \p request conflicts with \p other (other txn, incompatible
   /// modes; an upgrader never conflicts with its own S).
   static bool Conflicts(const Request& request, const Request& other);
 
-  /// DFS over the wait-for graph: does blocking \p waiter on \p oid close
-  /// a cycle? Requires mu_.
-  bool WouldDeadlock(TxnId waiter, Oid oid) const OCB_REQUIRES(mu_);
+  // The deadlock check below reads every stripe: each requires all
+  // stripe mutexes (LockAllStripes).
 
-  /// DFS worker of WouldDeadlock: can \p node reach \p waiter? Requires mu_.
+  /// DFS over the wait-for graph: does blocking \p waiter on \p oid close
+  /// a cycle?
+  bool WouldDeadlock(TxnId waiter, Oid oid) const;
+
+  /// DFS worker of WouldDeadlock: can \p node reach \p waiter?
   bool CycleFrom(TxnId node, TxnId waiter, Oid waiter_oid,
-                 std::unordered_set<TxnId>* visited) const OCB_REQUIRES(mu_);
+                 std::unordered_set<TxnId>* visited) const;
 
   /// Direct blockers of \p txn's waiting request on \p oid: every
-  /// conflicting request of another txn ahead of it. Requires mu_.
-  std::vector<TxnId> DirectBlockers(TxnId txn, Oid oid) const
-      OCB_REQUIRES(mu_);
+  /// conflicting request of another txn ahead of it.
+  std::vector<TxnId> DirectBlockers(TxnId txn, Oid oid) const;
 
-  mutable Mutex mu_{lockdep::kLockManagerTableClass};
-  std::unordered_map<Oid, std::unique_ptr<LockQueue>> table_
-      OCB_GUARDED_BY(mu_);
+  std::array<std::unique_ptr<Stripe>, kStripeCount> stripes_;
   /// "lock.wait" registry histogram, resolved in the constructor — never
-  /// under mu_: the registry's gauge callbacks take mu_ via stats(), so a
-  /// lazy lookup from Acquire would invert the two mutex orders.
+  /// under a stripe mutex: the registry's gauge callbacks take the stripe
+  /// mutexes via stats(), so a lazy lookup from Acquire would invert the
+  /// two mutex orders.
   obs::LatencyHistogram* lock_wait_histo_ = nullptr;
-  /// Blocked txn → object.
-  std::unordered_map<TxnId, Oid> waiting_on_ OCB_GUARDED_BY(mu_);
   const uint64_t wait_timeout_nanos_;  ///< Bound on one blocking Acquire.
-  LockManagerStats stats_ OCB_GUARDED_BY(mu_);
   GlobalWaitGraph* wait_graph_ = nullptr;  ///< Optional (sharded mode).
 };
 

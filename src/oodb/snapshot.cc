@@ -1,5 +1,6 @@
 #include "oodb/snapshot.h"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -59,6 +60,17 @@ class Reader {
   }
   void Raw(void* data, size_t size) {
     if (ok_ && std::fread(data, 1, size, file_) != size) ok_ = false;
+  }
+  /// Bytes between the read position and the end of the file.
+  uint64_t Remaining() {
+    struct stat st {};
+    const long at = std::ftell(file_);
+    if (!ok_ || at < 0 || ::fstat(fileno(file_), &st) != 0 ||
+        st.st_size < at) {
+      ok_ = false;
+      return 0;
+    }
+    return static_cast<uint64_t>(st.st_size - at);
   }
   bool ok() const { return ok_; }
 
@@ -184,6 +196,12 @@ Status LoadSnapshot(Database* db, const std::string& path) {
   if (db->object_count() != 0) {
     return Status::InvalidArgument("LoadSnapshot requires an empty database");
   }
+  // A failed load can leave pages without objects behind; this file's
+  // pages would then land at shifted ids.
+  if (db->disk()->num_pages() != 0) {
+    return Status::InvalidArgument(
+        "LoadSnapshot requires a database that holds no pages");
+  }
   FilePtr file(std::fopen(path.c_str(), "rb"));
   if (file == nullptr) {
     return Status::IOError(Format("cannot open '%s'", path.c_str()));
@@ -271,7 +289,18 @@ Status LoadSnapshot(Database* db, const std::string& path) {
     }
   }
 
-  // Page images.
+  // Page images. Checked against the file's length before the first
+  // AllocatePage, so that a truncated file allocates nothing.
+  const uint64_t image_bytes = r.Remaining();
+  if (!r.ok()) {
+    return Status::Corruption(Format("short read from '%s'", path.c_str()));
+  }
+  if (image_bytes % page_size != 0 || image_bytes / page_size != page_count) {
+    return Status::Corruption(
+        Format("'%s' holds %llu bytes of page images, not %llu pages of %llu",
+               path.c_str(), (unsigned long long)image_bytes,
+               (unsigned long long)page_count, (unsigned long long)page_size));
+  }
   std::vector<uint8_t> buffer(page_size);
   for (uint64_t p = 0; p < page_count; ++p) {
     r.Raw(buffer.data(), buffer.size());

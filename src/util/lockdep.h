@@ -106,13 +106,16 @@ inline LockClass kCommitPipelineClass{"commit.pipeline", 20};
 /// version-store commit mutex, never after.
 inline LockClass kCoordinatorCommitClass{"coord.commit", 50};
 
-/// Lock-manager table mutex (per shard; key = shard index). Logical
+/// Lock-manager table stripe mutexes (key = stripe index). Logical
 /// object-lock *acquisition* happens with no engine mutex held (rule 1:
 /// locks before latches), but lock *release* runs inside the commit
 /// choreography — CommitTxnAt's ReleaseAll executes under the
-/// coordinator's commit mutex in 2PC — so the table mutex ranks below
+/// coordinator's commit mutex in 2PC — so the stripes rank below
 /// coord.commit, and the short lookup/grant/release critical sections
-/// nest nothing of the engine's below them except the wait graph.
+/// nest nothing of the engine's below them except the wait graph. Grant
+/// and release hold one stripe at a time; a request that must wait takes
+/// every stripe of its own manager in ascending order for the deadlock
+/// check. No thread holds stripes of two managers at once.
 inline LockClass kLockManagerTableClass{"lockmgr.table", 52, kOrderedByKey};
 
 /// Global wait-for graph: a leaf directly under the lock-manager table

@@ -1,7 +1,9 @@
 // Tests for the 2PL LockManager: S/X compatibility, FIFO waiting, S→X
 // upgrade, and wait-for-graph deadlock detection (a cycle aborts exactly
 // one victim — the transaction whose wait would close it), within one
-// manager and, through a shared GlobalWaitGraph, across two.
+// manager and, through a shared GlobalWaitGraph, across two; then the
+// same contracts across the table's stripes, and a storm whose counters
+// must balance exactly.
 
 #include "concurrency/lock_manager.h"
 
@@ -9,7 +11,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <random>
 #include <thread>
+#include <vector>
 
 namespace ocb {
 namespace {
@@ -266,6 +270,178 @@ TEST(LockManagerTest, FifoPreventsWriterStarvation) {
   blocked_reader.join();
   EXPECT_TRUE(r2_status.ok());
   lm.ReleaseAll(&r2);
+}
+
+// --- Striping ----------------------------------------------------------------
+//
+// The table is striped by a hash of the oid, and a waiter's deadlock check
+// reads every stripe. Each cycle below runs over the oid pairs (a, a+k),
+// k = 1..64, so that for some k both objects share a stripe and for most
+// they do not, whatever the hash. Each k must refuse exactly one
+// cycle-closer and grant the sleeper once the victim releases.
+
+constexpr Oid kPairBase = 1000;
+constexpr Oid kMaxStride = 64;
+
+TEST(LockManagerTest, TwoTxnCycleOverOidPairsRefusesOneCloser) {
+  LockManager lm;
+  TxnId next_id = 1;
+  for (Oid k = 1; k <= kMaxStride; ++k) {
+    const Oid a = kPairBase;
+    const Oid b = kPairBase + k;
+    TransactionContext t1(next_id++), t2(next_id++);
+    ASSERT_TRUE(lm.Acquire(&t1, a, LockMode::kExclusive).ok());
+    ASSERT_TRUE(lm.Acquire(&t2, b, LockMode::kExclusive).ok());
+    const uint64_t waits = lm.stats().waits;
+    Status s1;
+    std::thread blocked(
+        [&]() { s1 = lm.Acquire(&t1, b, LockMode::kExclusive); });
+    WaitForWaits(lm, waits + 1);
+
+    Status s2 = lm.Acquire(&t2, a, LockMode::kExclusive);
+    EXPECT_TRUE(s2.IsAborted()) << "k=" << k << ": " << s2.ToString();
+    lm.ReleaseAll(&t2);
+    blocked.join();
+    EXPECT_TRUE(s1.ok()) << "k=" << k << ": " << s1.ToString();
+    lm.ReleaseAll(&t1);
+    EXPECT_EQ(lm.stats().deadlocks, k);
+  }
+  EXPECT_EQ(lm.stats().timeouts, 0u);
+  EXPECT_EQ(lm.locked_object_count(), 0u);
+}
+
+TEST(LockManagerTest, UpgradeCycleOverOidPairsRefusesOneCloser) {
+  // Both txns S-lock both objects; t1 upgrades a (waits for t2's S), then
+  // t2 upgrading b would wait for t1's S: the upgrade cycle.
+  LockManager lm;
+  TxnId next_id = 1;
+  for (Oid k = 1; k <= kMaxStride; ++k) {
+    const Oid a = kPairBase;
+    const Oid b = kPairBase + k;
+    TransactionContext t1(next_id++), t2(next_id++);
+    for (TransactionContext* t : {&t1, &t2}) {
+      ASSERT_TRUE(lm.Acquire(t, a, LockMode::kShared).ok());
+      ASSERT_TRUE(lm.Acquire(t, b, LockMode::kShared).ok());
+    }
+    const uint64_t waits = lm.stats().waits;
+    Status s1;
+    std::thread blocked(
+        [&]() { s1 = lm.Acquire(&t1, a, LockMode::kExclusive); });
+    WaitForWaits(lm, waits + 1);
+
+    Status s2 = lm.Acquire(&t2, b, LockMode::kExclusive);
+    EXPECT_TRUE(s2.IsAborted()) << "k=" << k << ": " << s2.ToString();
+    lm.ReleaseAll(&t2);
+    blocked.join();
+    EXPECT_TRUE(s1.ok()) << "k=" << k << ": " << s1.ToString();
+    EXPECT_TRUE(t1.HoldsLock(a, LockMode::kExclusive));
+    lm.ReleaseAll(&t1);
+    EXPECT_EQ(lm.stats().deadlocks, k);
+  }
+  EXPECT_EQ(lm.stats().timeouts, 0u);
+  EXPECT_EQ(lm.locked_object_count(), 0u);
+}
+
+TEST(LockManagerTest, ThreeTxnCycleOverOidPairsRefusesOneCloser) {
+  LockManager lm;
+  TxnId next_id = 1;
+  for (Oid k = 1; k <= kMaxStride; ++k) {
+    const Oid a = kPairBase;
+    const Oid b = kPairBase + k;
+    const Oid c = kPairBase + 2 * k;
+    TransactionContext t1(next_id++), t2(next_id++), t3(next_id++);
+    ASSERT_TRUE(lm.Acquire(&t1, a, LockMode::kExclusive).ok());
+    ASSERT_TRUE(lm.Acquire(&t2, b, LockMode::kExclusive).ok());
+    ASSERT_TRUE(lm.Acquire(&t3, c, LockMode::kExclusive).ok());
+    const uint64_t waits = lm.stats().waits;
+    Status s1, s2;
+    std::thread w1([&]() { s1 = lm.Acquire(&t1, b, LockMode::kExclusive); });
+    WaitForWaits(lm, waits + 1);
+    std::thread w2([&]() { s2 = lm.Acquire(&t2, c, LockMode::kExclusive); });
+    WaitForWaits(lm, waits + 2);
+
+    Status s3 = lm.Acquire(&t3, a, LockMode::kExclusive);
+    EXPECT_TRUE(s3.IsAborted()) << "k=" << k << ": " << s3.ToString();
+    lm.ReleaseAll(&t3);
+    w2.join();
+    EXPECT_TRUE(s2.ok()) << "k=" << k << ": " << s2.ToString();
+    lm.ReleaseAll(&t2);
+    w1.join();
+    EXPECT_TRUE(s1.ok()) << "k=" << k << ": " << s1.ToString();
+    lm.ReleaseAll(&t1);
+    EXPECT_EQ(lm.stats().deadlocks, k);
+  }
+  EXPECT_EQ(lm.stats().timeouts, 0u);
+  EXPECT_EQ(lm.locked_object_count(), 0u);
+}
+
+// Four threads run short transactions of S, X and S→X requests over 256
+// shared objects, and re-request a lock they hold. Every deadlock is a
+// cycle the DFS sees, so no wait may reach the (generous) timeout, and
+// the counters must balance: one refusal per Aborted result, one
+// acquisition per granted request, re-grants included.
+TEST(LockManagerTest, StormOverSharedOidsBalancesItsCounters) {
+  constexpr int kThreads = 4;
+  constexpr Oid kOids = 256;
+  constexpr int kTxnsPerThread = 500;
+  constexpr int kRequestsPerTxn = 8;
+  LockManager lm(30'000'000'000);  // 30 s
+  std::atomic<TxnId> next_id{1};
+  std::atomic<uint64_t> granted{0};
+  std::atomic<uint64_t> aborted{0};
+  std::atomic<uint64_t> unexpected{0};
+
+  auto client = [&](int seed) {
+    std::mt19937_64 rng(static_cast<uint64_t>(seed));
+    // Records one result; false ends the transaction.
+    auto note = [&](const Status& st) {
+      if (st.ok()) {
+        granted.fetch_add(1);
+        return true;
+      }
+      (st.IsAborted() ? aborted : unexpected).fetch_add(1);
+      return false;
+    };
+    for (int t = 0; t < kTxnsPerThread; ++t) {
+      TransactionContext txn(next_id.fetch_add(1));
+      Oid first = kInvalidOid;
+      bool live = true;
+      for (int r = 0; live && r < kRequestsPerTxn; ++r) {
+        const Oid oid = 1 + rng() % kOids;
+        switch (rng() % 4) {
+          case 0:
+          case 1:
+            live = note(lm.Acquire(&txn, oid, LockMode::kShared));
+            break;
+          case 2:
+            live = note(lm.Acquire(&txn, oid, LockMode::kExclusive));
+            break;
+          default:
+            live = note(lm.Acquire(&txn, oid, LockMode::kShared)) &&
+                   note(lm.Acquire(&txn, oid, LockMode::kExclusive));
+            break;
+        }
+        if (live && first == kInvalidOid) first = oid;
+        // Interleave the clients even when they share one CPU.
+        std::this_thread::yield();
+      }
+      // A re-grant, answered from the transaction's own held locks.
+      if (live && first != kInvalidOid) {
+        note(lm.Acquire(&txn, first, LockMode::kShared));
+      }
+      lm.ReleaseAll(&txn);
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) threads.emplace_back(client, i + 1);
+  for (std::thread& t : threads) t.join();
+
+  const LockManagerStats stats = lm.stats();
+  EXPECT_EQ(unexpected.load(), 0u);
+  EXPECT_EQ(stats.timeouts, 0u);
+  EXPECT_EQ(stats.deadlocks, aborted.load());
+  EXPECT_EQ(stats.acquisitions, granted.load());
+  EXPECT_EQ(lm.locked_object_count(), 0u);
 }
 
 // --- GlobalWaitGraph: cycles across lock managers --------------------------

@@ -251,6 +251,47 @@ TEST_F(SnapshotTest, RejectsTruncatedFile) {
   EXPECT_TRUE(LoadSnapshot(&db, path_).IsCorruption());
 }
 
+// A snapshot cut short by three pages fails before it allocates a page,
+// so the intact file then loads into the same Database (recovery's fall
+// back to an older checkpoint) with every object as saved.
+TEST_F(SnapshotTest, TruncatedLoadLeavesNoPagesBehind) {
+  Database original(TestOptions());
+  ASSERT_TRUE(GenerateDatabase(SmallDb(), &original).ok());
+  ASSERT_TRUE(SaveSnapshot(&original, path_).ok());
+  const std::vector<uint8_t> saved = ReadFileBytes(path_);
+  const size_t cut = 3 * TestOptions().page_size;
+  ASSERT_GT(saved.size(), cut);
+  ASSERT_TRUE(WriteFileBytes(
+      path_, std::vector<uint8_t>(saved.begin(), saved.end() - cut)));
+
+  Database db(TestOptions());
+  EXPECT_TRUE(LoadSnapshot(&db, path_).IsCorruption());
+  EXPECT_EQ(db.disk()->num_pages(), 0u);
+  EXPECT_EQ(db.object_count(), 0u);
+
+  ASSERT_TRUE(WriteFileBytes(path_, saved));
+  ASSERT_TRUE(LoadSnapshot(&db, path_).ok());
+  ASSERT_EQ(db.object_count(), original.object_count());
+  for (Oid oid : original.object_store()->LiveOids()) {
+    auto a = original.PeekObject(oid);
+    auto b = db.PeekObject(oid);
+    ASSERT_TRUE(a.ok() && b.ok()) << "oid " << oid;
+    EXPECT_EQ(a->class_id, b->class_id) << "oid " << oid;
+    EXPECT_EQ(a->orefs, b->orefs) << "oid " << oid;
+    EXPECT_EQ(a->backrefs, b->backrefs) << "oid " << oid;
+    EXPECT_EQ(a->filler_size, b->filler_size) << "oid " << oid;
+  }
+}
+
+TEST_F(SnapshotTest, RejectsTargetThatHoldsPages) {
+  Database original(TestOptions());
+  ASSERT_TRUE(GenerateDatabase(SmallDb(), &original).ok());
+  ASSERT_TRUE(SaveSnapshot(&original, path_).ok());
+  Database db(TestOptions());
+  db.disk()->AllocatePage();
+  EXPECT_TRUE(LoadSnapshot(&db, path_).IsInvalidArgument());
+}
+
 // A table entry the store could not have allocated is refused at load:
 // kInvalidOid, an oid off the store's progression, one at or past the
 // saved next_oid (AllocateOid would hand it out again), and a duplicate.
