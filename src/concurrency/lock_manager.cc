@@ -28,10 +28,8 @@ uint64_t ElapsedNanos(std::chrono::steady_clock::time_point since) {
 }  // namespace
 
 LockManager::LockManager(uint64_t wait_timeout_nanos)
-    : wait_timeout_nanos_(wait_timeout_nanos) {
-  for (size_t i = 0; i < kStripeCount; ++i) {
-    stripes_[i] = std::make_unique<Stripe>(i);
-  }
+    : stripes_(MakeStripes(std::make_index_sequence<kStripeCount>())),
+      wait_timeout_nanos_(wait_timeout_nanos) {
 #ifndef OCB_OBS_DISABLED
   // Resolved here, where no lock is held. GetHistogram takes the registry
   // mutex and the registry's gauge callbacks take the stripe mutexes (via
@@ -135,11 +133,11 @@ void LockManager::TryGrantQueue(Stripe& stripe, LockQueue& queue) {
 // TSA-exempt: a loop over a run-time set of capabilities, which the
 // analysis cannot name.
 void LockManager::LockAllStripes() const OCB_NO_THREAD_SAFETY_ANALYSIS {
-  for (const auto& stripe : stripes_) stripe->mu.lock();
+  for (const Stripe& stripe : stripes_) stripe.mu.lock();
 }
 
 void LockManager::UnlockAllStripes() const OCB_NO_THREAD_SAFETY_ANALYSIS {
-  for (const auto& stripe : stripes_) stripe->mu.unlock();
+  for (const Stripe& stripe : stripes_) stripe.mu.unlock();
 }
 
 // TSA-exempt, as is CycleFrom below: both read any stripe and require
@@ -175,8 +173,8 @@ bool LockManager::CycleFrom(TxnId node, TxnId waiter, Oid waiter_oid,
   Oid oid = waiter_oid;
   if (node != waiter) {
     bool blocked = false;
-    for (const auto& stripe : stripes_) {
-      for (const auto& [txn, on] : stripe->waits) {
+    for (const Stripe& stripe : stripes_) {
+      for (const auto& [txn, on] : stripe.waits) {
         if (txn == node) {
           oid = on;
           blocked = true;
@@ -205,8 +203,10 @@ bool LockManager::WouldDeadlock(TxnId waiter, Oid oid) const {
 // analysis cannot follow; lockdep still sees every transition.
 Status LockManager::Acquire(TransactionContext* txn, Oid oid,
                             LockMode mode) OCB_NO_THREAD_SAFETY_ANALYSIS {
+  Stripe& stripe = stripe_of(oid);
   if (txn->HoldsLock(oid, mode)) {
-    ++txn->lock_regrants_;
+    MutexLock lock(stripe.mu);
+    ++stripe.stats.acquisitions;
     return Status::OK();
   }
   Request request;
@@ -215,7 +215,6 @@ Status LockManager::Acquire(TransactionContext* txn, Oid oid,
   request.upgrade = mode == LockMode::kExclusive &&
                     txn->HoldsLock(oid, LockMode::kShared);
 
-  Stripe& stripe = stripe_of(oid);
   std::unique_lock<Mutex> lock(stripe.mu);
   LockQueue& queue = QueueFor(stripe, oid);
   RequestList::iterator pos = queue.requests.end();
@@ -273,8 +272,8 @@ Status LockManager::AwaitGrant(TransactionContext* txn, Oid oid,
                (unsigned long long)txn->id(), (unsigned long long)oid));
   }
   stripe.waits.emplace_back(txn->id(), oid);
-  for (const auto& other : stripes_) {
-    if (other.get() != &stripe) other->mu.unlock();
+  for (Stripe& other : stripes_) {
+    if (&other != &stripe) other.mu.unlock();
   }
   std::unique_lock<Mutex> lock(stripe.mu, std::adopt_lock);
   const auto wait_start = std::chrono::steady_clock::now();
@@ -319,51 +318,29 @@ Status LockManager::AwaitGrant(TransactionContext* txn, Oid oid,
 }
 
 void LockManager::ReleaseAll(TransactionContext* txn) {
-  const auto& held = txn->held_locks_;
-  if (held.empty()) return;
-  // Group the oids by stripe (a counting sort, before any mutex), so that
-  // each stripe is taken once.
-  std::array<size_t, kStripeCount + 1> begin{};
-  for (const auto& entry : held) ++begin[StripeIndex(entry.first) + 1];
-  for (size_t i = 1; i <= kStripeCount; ++i) begin[i] += begin[i - 1];
-  std::vector<Oid> by_stripe(held.size());
-  std::array<size_t, kStripeCount> fill{};
-  for (const auto& entry : held) {
-    const size_t s = StripeIndex(entry.first);
-    by_stripe[begin[s] + fill[s]++] = entry.first;
-  }
-
   const TxnId id = txn->id();
-  uint64_t regrants = txn->lock_regrants_;
-  for (size_t s = 0; s < kStripeCount; ++s) {
-    if (begin[s] == begin[s + 1]) continue;
-    Stripe& stripe = *stripes_[s];
+  for (const auto& entry : txn->held_locks_) {
+    Stripe& stripe = stripe_of(entry.first);
     MutexLock lock(stripe.mu);
-    stripe.stats.acquisitions += regrants;
-    regrants = 0;
-    for (size_t i = begin[s]; i < begin[s + 1]; ++i) {
-      auto qit = stripe.queues.find(by_stripe[i]);
-      if (qit == stripe.queues.end()) continue;
-      RequestList& requests = qit->second.requests;
-      for (auto it = requests.begin(); it != requests.end();) {
-        const auto next = std::next(it);
-        if (it->txn == id) {
-          stripe.spare_requests.splice(stripe.spare_requests.end(), requests,
-                                       it);
-        }
-        it = next;
+    auto qit = stripe.queues.find(entry.first);
+    if (qit == stripe.queues.end()) continue;
+    RequestList& requests = qit->second.requests;
+    for (auto it = requests.begin(); it != requests.end();) {
+      const auto next = std::next(it);
+      if (it->txn == id) {
+        stripe.spare_requests.splice(stripe.spare_requests.end(), requests,
+                                     it);
       }
-      Settle(stripe, qit);
+      it = next;
     }
+    Settle(stripe, qit);
   }
-  txn->lock_regrants_ = 0;
   txn->held_locks_.clear();
 }
 
 LockManagerStats LockManager::stats() const {
   LockManagerStats total;
-  for (const auto& stripe_ptr : stripes_) {
-    const Stripe& stripe = *stripe_ptr;
+  for (const Stripe& stripe : stripes_) {
     MutexLock lock(stripe.mu);
     total.acquisitions += stripe.stats.acquisitions;
     total.waits += stripe.stats.waits;
@@ -376,8 +353,7 @@ LockManagerStats LockManager::stats() const {
 
 size_t LockManager::locked_object_count() const {
   size_t count = 0;
-  for (const auto& stripe_ptr : stripes_) {
-    const Stripe& stripe = *stripe_ptr;
+  for (const Stripe& stripe : stripes_) {
     MutexLock lock(stripe.mu);
     count += stripe.queues.size();
   }

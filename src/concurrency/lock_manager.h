@@ -26,16 +26,17 @@
 /// lines with its own mutex, queue table, wait records, statistics and
 /// free lists. An object's stripe is a multiplicative hash of its oid: a
 /// shard's oids all share one residue, so `oid % kStripeCount` would leave
-/// most stripes idle. Acquire takes one stripe mutex and ReleaseAll takes
-/// each stripe it touches once. Emptied queues are parked through
-/// node-handle extract/insert and finished requests through list::splice,
-/// so once the free lists are warm neither path allocates under a mutex.
+/// most stripes idle. Acquire and ReleaseAll hold one stripe mutex at a
+/// time: ReleaseAll takes each held object's stripe in turn. Emptied
+/// queues are parked through node-handle extract/insert and finished
+/// requests through list::splice, so once the free lists are warm neither
+/// path allocates under a mutex.
 ///
-/// A transaction that asks again for a lock it already holds is answered
-/// from its own held-lock map before any mutex. Only two threads touch
-/// that map: the owner, and the commit leader while the owner is parked in
-/// CommitPipeline::Submit. Such re-grants are counted in the context and
-/// folded into stats().acquisitions by ReleaseAll.
+/// A transaction's held-lock map is read and written outside every stripe:
+/// only two threads touch it, the owner and the commit leader while the
+/// owner is parked in CommitPipeline::Submit. A request for a lock the
+/// transaction already holds is answered from that map and takes its
+/// stripe mutex only to count the grant.
 ///
 /// A request that must wait drops its stripe, takes every stripe of its
 /// manager in ascending order and checks again whether it was granted
@@ -62,7 +63,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -111,12 +111,10 @@ class LockManager {
   Status Acquire(TransactionContext* txn, Oid oid, LockMode mode);
 
   /// Releases every lock \p txn holds and wakes eligible waiters.
-  /// Called exactly once, at commit or abort (strict 2PL). Also folds the
-  /// transaction's re-grants into stats().acquisitions.
+  /// Called exactly once, at commit or abort (strict 2PL).
   void ReleaseAll(TransactionContext* txn);
 
-  /// The stripes' counters, summed. Re-grants count from their
-  /// transaction's ReleaseAll on.
+  /// The stripes' counters, summed.
   LockManagerStats stats() const;
 
   /// Number of objects with at least one granted or waiting request.
@@ -181,7 +179,17 @@ class LockManager {
     return static_cast<size_t>((oid * 0x9E3779B97F4A7C15ull) >>
                                (64 - kStripeBits));
   }
-  Stripe& stripe_of(Oid oid) const { return *stripes_[StripeIndex(oid)]; }
+  Stripe& stripe_of(Oid oid) { return stripes_[StripeIndex(oid)]; }
+  const Stripe& stripe_of(Oid oid) const {
+    return stripes_[StripeIndex(oid)];
+  }
+
+  /// The stripes, built in place with their indices as lockdep keys.
+  template <size_t... I>
+  static std::array<Stripe, kStripeCount> MakeStripes(
+      std::index_sequence<I...>) {
+    return {Stripe(I)...};
+  }
 
   /// \p oid's queue, taken from the free list or created when it has none.
   LockQueue& QueueFor(Stripe& stripe, Oid oid) OCB_REQUIRES(stripe.mu);
@@ -235,7 +243,8 @@ class LockManager {
   /// conflicting request of another txn ahead of it.
   std::vector<TxnId> DirectBlockers(TxnId txn, Oid oid) const;
 
-  std::array<std::unique_ptr<Stripe>, kStripeCount> stripes_;
+  /// Held inline: the manager is one allocation with its owner.
+  std::array<Stripe, kStripeCount> stripes_;
   /// "lock.wait" registry histogram, resolved in the constructor — never
   /// under a stripe mutex: the registry's gauge callbacks take the stripe
   /// mutexes via stats(), so a lazy lookup from Acquire would invert the

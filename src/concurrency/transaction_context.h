@@ -183,17 +183,13 @@ class TransactionContext {
   uint64_t lock_wait_nanos() const { return lock_wait_nanos_; }
 
  private:
-  /// Maintains held_locks_, lock_regrants_ and lock_wait_nanos_.
-  friend class LockManager;
+  friend class LockManager;  ///< Maintains held_locks_, lock_wait_nanos_.
   friend class Database;     ///< Maintains undo_log_, state_, CC state.
 
   TxnId id_;
   TxnMode mode_;
   TxnState state_ = TxnState::kActive;
   std::unordered_map<Oid, LockMode> held_locks_;
-  /// Requests answered from held_locks_ since the last ReleaseAll, which
-  /// folds them into the lock manager's acquisitions.
-  uint64_t lock_regrants_ = 0;
   std::vector<UndoRecord> undo_log_;
   std::unordered_set<Oid> undo_logged_;  ///< Oids with a pre-image already.
   uint64_t lock_wait_nanos_ = 0;

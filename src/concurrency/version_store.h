@@ -257,9 +257,7 @@ class VersionStore {
   };
 
   /// One chain-table shard; oid o lives in shard o % shards_.size().
-  /// Every snapshot read takes a shard mutex twice: a shard of its own
-  /// cache lines keeps readers of neighbouring shards off one line.
-  struct alignas(64) Shard {
+  struct Shard {
     explicit Shard(size_t index) : mu(lockdep::kVersionChainClass, index) {}
     mutable Mutex mu;
     /// Chain per object, ascending commit_ts, pending (if any) at the

@@ -19,10 +19,8 @@ namespace ocb {
 ///
 /// Atomic so CLIENTN client threads can charge THINK time and read
 /// timestamps concurrently; relaxed ordering suffices — the counter is a
-/// statistic, not a synchronization point. It gets a cache line of its
-/// own, so the clients' updates do not slow readers of the fields
-/// declared next to it.
-class alignas(64) SimClock {
+/// statistic, not a synchronization point.
+class SimClock {
  public:
   /// Current simulated time in nanoseconds since construction.
   uint64_t now_nanos() const {
