@@ -1,7 +1,7 @@
 /// \file bench_micro.cc
 /// \brief Ext-7: google-benchmark microbenchmarks of the substrate hot
 ///        paths — RNG draws, distribution sampling, page operations,
-///        buffer-pool hits, misses and batched misses, disk reads,
+///        buffer-pool hits and misses, disk reads,
 ///        uncontended and contended lock acquire/release, commit-pipeline
 ///        submit, version-chain lookup, object codec, object-table lookup
 ///        and live-oid listing, DSTC observation, and generator throughput.
@@ -9,7 +9,6 @@
 #include <benchmark/benchmark.h>
 
 #include <mutex>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -108,30 +107,6 @@ void BM_BufferPoolMiss(benchmark::State& state) {
   if (pool.stats().hits.load() != 0) state.SkipWithError("a fetch hit");
 }
 BENCHMARK(BM_BufferPoolMiss);
-
-// The batched-read floor: one FetchMany of N pages that all miss, over a
-// pool of 2N frames cycling through 8N clean pages so every batch evicts
-// the previous ones. N=8 is one single-stripe chunk; N=32 spreads over
-// 8 stripes and is issued in chunks of 4.
-void BM_BufferPoolFetchMany(benchmark::State& state) {
-  const auto batch = static_cast<size_t>(state.range(0));
-  StorageOptions options;
-  options.buffer_pool_pages = 2 * batch;
-  DiskSim disk(options);
-  BufferPool pool(&disk, options);
-  std::vector<PageId> pages;
-  for (size_t i = 0; i < 8 * batch; ++i) pages.push_back(disk.AllocatePage());
-  size_t next = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pool.FetchMany(
-        std::span<const PageId>(pages.data() + next, batch)));
-    next = (next + batch) % pages.size();
-  }
-  if (pool.stats().hits.load() != 0) state.SkipWithError("a fetch hit");
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(batch));
-}
-BENCHMARK(BM_BufferPoolFetchMany)->Arg(8)->Arg(32);
 
 // One inline page read: the simulated disk's accounting and the page copy.
 void BM_DiskSimReadPage(benchmark::State& state) {

@@ -454,37 +454,6 @@ class TransactionT {
   // --- Traversal engine (the paper's four shapes, ported from the
   // workload executor so they run below the API boundary) ---------------
 
-  /// Issues the page reads for every child the walk is about to follow
-  /// as ONE overlapped batch (DB::PrefetchObjects), so a frontier of N
-  /// cache misses costs one device latency instead of N. MVCC snapshot
-  /// readers skip it: their reads may resolve from the version store, so
-  /// prefetching would charge I/O the blocking path never performs.
-  void PrefetchFrontier(const std::vector<Oid>& frontier) {
-    if (frontier.size() < 2) return;
-    // Snapshot-resolving transactions (MVCC readers, SI writers) may
-    // serve reads from the version store; prefetching would charge I/O
-    // those reads never perform. OCC reads committed-latest, which
-    // nearly always falls through to the store — keep its prefetch.
-    if (!legacy_ &&
-        (mode_ == TxnMode::kSnapshotRead || mode_ == TxnMode::kSI)) {
-      return;
-    }
-    (void)db_->PrefetchObjects(frontier);
-  }
-
-  /// Collects \p node's traversable link targets (the walk's next
-  /// frontier contribution) into \p out.
-  void CollectChildren(const Object& node, bool reversed,
-                       std::vector<Oid>* out) {
-    if (reversed) {
-      out->insert(out->end(), node.backrefs.begin(), node.backrefs.end());
-      return;
-    }
-    for (Oid target : node.orefs) {
-      if (target != kInvalidOid) out->push_back(target);
-    }
-  }
-
   /// Follows reference \p index of \p from; latches the first Aborted
   /// into \p failure so walks unwind promptly.
   Result<Object> Follow(const Object& from, size_t index, bool reversed,
@@ -515,13 +484,6 @@ class TransactionT {
     uint64_t accessed = 0;
     std::vector<Object> level = {root};
     for (uint32_t d = 0; d < depth && !level.empty(); ++d) {
-      // Prefetch the whole next frontier as one batch before crossing
-      // any of its links.
-      std::vector<Oid> frontier;
-      for (const Object& node : level) {
-        CollectChildren(node, reversed, &frontier);
-      }
-      PrefetchFrontier(frontier);
       std::vector<Object> next;
       for (const Object& node : level) {
         const size_t fanout =
@@ -544,11 +506,6 @@ class TransactionT {
                Status* failure) {
     if (depth == 0) return 0;
     uint64_t accessed = 0;
-    // This node's children are the walk's next frontier: batch their
-    // misses before descending into the first.
-    std::vector<Oid> children;
-    CollectChildren(node, reversed, &children);
-    PrefetchFrontier(children);
     const size_t fanout =
         reversed ? node.backrefs.size() : node.orefs.size();
     for (size_t i = 0; i < fanout; ++i) {
@@ -569,15 +526,6 @@ class TransactionT {
     uint64_t accessed = 0;
     if (!reversed) {
       const ClassDescriptor& cls = db_->schema().GetClass(node.class_id);
-      // Batch the type-matching children (this walk's frontier at the
-      // node) before the first crossing.
-      std::vector<Oid> children;
-      for (size_t i = 0; i < node.orefs.size(); ++i) {
-        if (node.orefs[i] == kInvalidOid) continue;
-        if (i >= cls.tref.size() || cls.tref[i] != type) continue;
-        children.push_back(node.orefs[i]);
-      }
-      PrefetchFrontier(children);
       for (size_t i = 0; i < node.orefs.size(); ++i) {
         if (node.orefs[i] == kInvalidOid) continue;
         if (i >= cls.tref.size() || cls.tref[i] != type) continue;
@@ -593,7 +541,6 @@ class TransactionT {
     // Reversed hierarchy traversal ascends through BackRefs, which carry
     // no slot type, so the reverse direction follows all of them — a
     // documented approximation (see DESIGN.md §5).
-    PrefetchFrontier(node.backrefs);
     for (size_t i = 0; i < node.backrefs.size(); ++i) {
       auto child = Follow(node, i, /*reversed=*/true, failure);
       if (!failure->ok()) return accessed;

@@ -86,9 +86,9 @@ void Database::RegisterObsCallbacks() {
   reg.Register("db.disk.writes", [this] {
     return disk_->TotalCounters().writes.load(std::memory_order_relaxed);
   });
-  // Batched-read overlap accounting: serial is what a fully serialized
-  // execution would have charged the sim clock, charged is what actually
-  // was charged (serial/charged = overlap ratio).
+  // I/O overlap accounting: serial is what a fully serialized execution
+  // would have charged the sim clock, charged is what actually was
+  // charged (serial/charged = how far concurrent clients' I/Os overlap).
   reg.Register("db.io.serial_nanos",
                [this] { return disk_->serial_io_nanos(); });
   reg.Register("db.io.charged_nanos",
@@ -1169,10 +1169,6 @@ Status Database::GetObjectsBatched(TransactionContext* txn,
         OCB_RETURN_NOT_OK(LockFor(txn, oid, LockMode::kShared));
       }
     }
-    // Locks held, latches not yet: issue every miss of the batch as one
-    // overlapped prefetch so the read pass below runs against a warm
-    // cache instead of paying the misses serially.
-    if (oids.size() > 1) (void)PrefetchObjects(oids);
     for (Oid oid : oids) {
       auto obj = ReadDecode(oid);
       if (obj.ok()) {
@@ -1196,21 +1192,14 @@ Status Database::AcquireWriteFootprint(TransactionContext* txn,
   OCB_RETURN_NOT_OK(RefuseFinished(txn, "ApplyWriteBatch"));
   OCB_RETURN_NOT_OK(RefuseReadOnly(txn, "ApplyWriteBatch"));
   if (txn == nullptr) return Status::OK();
-  if (txn->optimistic()) {
-    // Optimistic transactions take no locks before commit; the batch's
-    // writes will be buffered. Keep the prefetch — the reads that feed
-    // the batch still profit from a warm cache.
-    if (oids.size() > 1) (void)PrefetchObjects(oids);
-    return Status::OK();
-  }
+  // Optimistic transactions take no locks before commit; the batch's
+  // writes will be buffered.
+  if (txn->optimistic()) return Status::OK();
   std::sort(oids.begin(), oids.end());
   oids.erase(std::unique(oids.begin(), oids.end()), oids.end());
   for (Oid oid : oids) {
     OCB_RETURN_NOT_OK(LockFor(txn, oid, LockMode::kExclusive));
   }
-  // The batch's operations will read-modify-write these objects next;
-  // warm their pages in one overlapped batch while only locks are held.
-  if (oids.size() > 1) (void)PrefetchObjects(oids);
   return Status::OK();
 }
 

@@ -508,16 +508,6 @@ class Database {
   /// Writes every dirty page back (generation epilogue).
   Status FlushPools() { return pool_->FlushAll(); }
 
-  /// Advisory batch cache-warm for an upcoming multi-object read:
-  /// resolves \p oids to their pages and issues every buffer-pool miss as
-  /// ONE overlapped batch (ObjectStore::Prefetch → BufferPool::FetchMany)
-  /// instead of paying the misses one device latency at a time. Purely a
-  /// hint — unknown oids are skipped and errors resurface on the real
-  /// read.
-  Status PrefetchObjects(std::span<const Oid> oids) {
-    return store_->Prefetch(oids);
-  }
-
   // --- Substrate access (benchmark harness & clustering reorganizers) ---
   ObjectStore* object_store() { return store_.get(); }
   BufferPool* buffer_pool() { return pool_.get(); }

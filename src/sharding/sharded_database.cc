@@ -38,9 +38,6 @@ ShardedDatabase::ShardedDatabase(const StorageOptions& base,
   std::vector<Database*> raw;
   for (uint32_t k = 0; k < n; ++k) {
     per.first_oid = router_.FirstOidFor(k);
-    per.backing_file = base.backing_file.empty()
-                           ? std::string()
-                           : base.backing_file + Format(".shard%u", k);
     per.wal_path = base.wal_path.empty()
                        ? std::string()
                        : base.wal_path + Format(".shard%u", k);
@@ -452,12 +449,8 @@ Status ShardedDatabase::AcquireWriteFootprint(ShardedTransaction* txn,
   OCB_RETURN_NOT_OK(RefuseFinished(txn, "ApplyWriteBatch"));
   OCB_RETURN_NOT_OK(RefuseReadOnly(txn, "ApplyWriteBatch"));
   if (txn == nullptr) return Status::OK();
-  if (txn->optimistic()) {
-    // SI/OCC defer their write footprint to commit-time finalization;
-    // the batch declaration is still a cache-warm hint.
-    if (oids.size() > 1) (void)PrefetchObjects(oids);
-    return Status::OK();
-  }
+  // SI/OCC defer their write footprint to commit-time finalization.
+  if (txn->optimistic()) return Status::OK();
   std::sort(oids.begin(), oids.end());
   oids.erase(std::unique(oids.begin(), oids.end()), oids.end());
   for (Oid oid : oids) {
@@ -635,21 +628,6 @@ Status ShardedDatabase::FlushPools() {
     OCB_RETURN_NOT_OK(shard->FlushPools());
   }
   return Status::OK();
-}
-
-Status ShardedDatabase::PrefetchObjects(std::span<const Oid> oids) {
-  if (oids.size() < 2) return Status::OK();
-  std::vector<std::vector<Oid>> per_shard(router_.shard_count());
-  for (Oid oid : oids) {
-    per_shard[router_.ShardOf(oid)].push_back(oid);
-  }
-  Status first_error;
-  for (uint32_t k = 0; k < router_.shard_count(); ++k) {
-    if (per_shard[k].empty()) continue;
-    Status st = shards_[k]->PrefetchObjects(per_shard[k]);
-    if (!st.ok() && first_error.ok()) first_error = st;
-  }
-  return first_error;
 }
 
 Status SaveShardedSnapshot(ShardedDatabase* db, const std::string& path) {

@@ -72,7 +72,7 @@ class ShardedDatabase {
   ///        SHARDN sweeps compare equal memory), the oid progression is
   ///        set per shard to match the router, the lock wait timeout is
   ///        lowered (cross-shard deadlock backstop), and a non-empty
-  ///        backing_file gets a per-shard suffix.
+  ///        wal_path gets a per-shard suffix.
   ShardedDatabase(const StorageOptions& base, uint32_t shard_count);
 
   ~ShardedDatabase();
@@ -237,11 +237,6 @@ class ShardedDatabase {
   BufferPoolStats PoolStats() const;
   ObjectStoreStats StoreStats() const;
   Status FlushPools();
-
-  /// Advisory batch cache-warm (see Database::PrefetchObjects):
-  /// partitions \p oids by owning shard and issues each shard's misses as
-  /// one overlapped batch.
-  Status PrefetchObjects(std::span<const Oid> oids);
 
   const StorageOptions& options() const { return base_options_; }
 

@@ -48,33 +48,6 @@ thread_local int64_t tls_pin_depth = 0;
 
 }  // namespace
 
-PendingFetch::~PendingFetch() {
-  if (pool_ != nullptr) pool_->FinishPrefetch(*this);
-}
-
-PendingFetch::PendingFetch(PendingFetch&& other) noexcept
-    : pool_(other.pool_), frame_index_(other.frame_index_),
-      page_id_(other.page_id_), mode_(other.mode_), miss_(other.miss_),
-      ticket_(std::move(other.ticket_)),
-      issue_status_(other.issue_status_) {
-  other.pool_ = nullptr;
-}
-
-PendingFetch& PendingFetch::operator=(PendingFetch&& other) noexcept {
-  if (this != &other) {
-    if (pool_ != nullptr) pool_->FinishPrefetch(*this);
-    pool_ = other.pool_;
-    frame_index_ = other.frame_index_;
-    page_id_ = other.page_id_;
-    mode_ = other.mode_;
-    miss_ = other.miss_;
-    ticket_ = std::move(other.ticket_);
-    issue_status_ = other.issue_status_;
-    other.pool_ = nullptr;
-  }
-  return *this;
-}
-
 PageHandle::PageHandle(BufferPool* pool, size_t frame_index, uint8_t* data,
                        size_t page_size, LatchMode mode)
     : pool_(pool), frame_index_(frame_index), data_(data),
@@ -137,7 +110,8 @@ BufferPool::BufferPool(DiskSim* disk, const StorageOptions& options)
   // lookup takes the metrics-registry mutex, which ranks above every
   // engine mutex (Snapshot() runs gauge callbacks under it) — so a lazy
   // resolution from a latch callsite while this thread already holds a
-  // frame latch (the prefetch issue loop) would invert the hierarchy.
+  // frame latch (a two-page operation fetching its second page) would
+  // invert the hierarchy.
   latch_internal::PageWaitHistogram();
   latch_internal::FacadeWaitHistogram();
 }
@@ -219,87 +193,58 @@ void BufferPool::EndQuiesce() {
   }
 }
 
-Result<PageHandle> BufferPool::FetchPage(PageId page_id, LatchMode mode) {
-  return Await(StartFetch(page_id, mode));
-}
-
-// TSA exemption: the miss path returns holding the frame's X latch (the
-// matching release lives in Await/FinishPrefetch), a cross-function hold
-// the intraprocedural analysis cannot follow; lockdep tracks it.
-PendingFetch BufferPool::StartFetch(PageId page_id, LatchMode mode)
-    OCB_NO_THREAD_SAFETY_ANALYSIS {
-  AdmitPin();
-  Stripe& stripe = stripe_of(page_id);
-  PendingFetch fetch;
-  fetch.page_id_ = page_id;
-  fetch.mode_ = mode;
-  {
-    LatchPageExclusive(stripe.mu);
-    std::unique_lock<Mutex> lock(stripe.mu, std::adopt_lock);
-    auto it = stripe.page_table.find(page_id);
-    if (it != stripe.page_table.end()) {
-      stats_.hits.fetch_add(1, std::memory_order_relaxed);
-      const size_t frame_index = it->second;
-      Frame& frame = frames_[frame_index];
-      frame.pin_count.fetch_add(1, std::memory_order_relaxed);
-      TouchLru(stripe, frame_index);
-      fetch.pool_ = this;
-      fetch.frame_index_ = frame_index;
-      fetch.miss_ = false;
-      return fetch;
-    }
-    stats_.misses.fetch_add(1, std::memory_order_relaxed);
-    auto claimed = ClaimFrame(stripe);
-    if (!claimed.ok()) {
-      lock.unlock();
-      DropPinCount();
-      fetch.issue_status_ = claimed.status();
-      return fetch;
-    }
-    const size_t frame_index = claimed.value();
-    Frame& frame = frames_[frame_index];
-    if (frame.data == nullptr) {
-      frame.data = std::make_unique<uint8_t[]>(options_.page_size);
-    }
-    frame.page_id = page_id;
-    frame.latch.SetLockdepKey(page_id);
-    frame.dirty = false;
-    frame.pin_count.fetch_add(1, std::memory_order_relaxed);
-    InstallEntry(stripe, page_id, frame_index);
-    fetch.pool_ = this;
-    fetch.frame_index_ = frame_index;
-    fetch.miss_ = true;
-  }
-  // Miss I/O is issued outside the stripe mutex, under the frame's X latch
-  // (held since ClaimFrame): concurrent fetchers of this page pin the frame
-  // and block on the latch until Await hands the page over, while the rest
-  // of the stripe stays available. The span covers the read's byte copy.
-  {
-    obs::TraceSpan io_span("io.miss", "page", page_id);
-    fetch.ticket_ =
-        disk_->StartRead(page_id, frames_[fetch.frame_index_].data.get());
-  }
-  return fetch;
-}
-
-// TSA exemption: resolves latches acquired by StartFetch and performs the
-// X→S downgrade with bare unlock/lock pairs — cross-function holds TSA
-// cannot follow; lockdep sees every transition.
-Result<PageHandle> BufferPool::Await(PendingFetch fetch)
+// TSA exemption: a miss returns holding the claimed frame's latch (taken
+// under the stripe mutex, downgraded to kShared with a bare unlock/lock
+// pair), and a hit latches in a runtime-selected mode — holds released by
+// the PageHandle, which TSA cannot follow; lockdep sees every transition.
+Result<PageHandle> BufferPool::FetchPage(PageId page_id, LatchMode mode)
     OCB_NO_THREAD_SAFETY_ANALYSIS {
   for (;;) {
-    if (!fetch.pending()) {
-      return fetch.issue_status_.ok()
-                 ? Status::InvalidArgument("await of an empty pending fetch")
-                 : fetch.issue_status_;
+    AdmitPin();
+    Stripe& stripe = stripe_of(page_id);
+    size_t frame_index = 0;
+    bool miss = false;
+    {
+      LatchPageExclusive(stripe.mu);
+      std::unique_lock<Mutex> lock(stripe.mu, std::adopt_lock);
+      auto it = stripe.page_table.find(page_id);
+      if (it != stripe.page_table.end()) {
+        stats_.hits.fetch_add(1, std::memory_order_relaxed);
+        frame_index = it->second;
+        frames_[frame_index].pin_count.fetch_add(1, std::memory_order_relaxed);
+        TouchLru(stripe, frame_index);
+      } else {
+        stats_.misses.fetch_add(1, std::memory_order_relaxed);
+        auto claimed = ClaimFrame(stripe);
+        if (!claimed.ok()) {
+          lock.unlock();
+          DropPinCount();
+          return claimed.status();
+        }
+        frame_index = claimed.value();
+        Frame& frame = frames_[frame_index];
+        if (frame.data == nullptr) {
+          frame.data = std::make_unique<uint8_t[]>(options_.page_size);
+        }
+        frame.page_id = page_id;
+        frame.latch.SetLockdepKey(page_id);
+        frame.dirty = false;
+        frame.pin_count.fetch_add(1, std::memory_order_relaxed);
+        InstallEntry(stripe, page_id, frame_index);
+        miss = true;
+      }
     }
-    const PageId page_id = fetch.page_id_;
-    const LatchMode mode = fetch.mode_;
-    const size_t frame_index = fetch.frame_index_;
     Frame& frame = frames_[frame_index];
-    fetch.pool_ = nullptr;  // Resolved below; disarm the destructor.
-    if (fetch.miss_) {
-      Status read = disk_->Await(fetch.ticket_);
+    if (miss) {
+      // The read runs outside the stripe mutex, under the frame's X latch
+      // (held since ClaimFrame): concurrent fetchers of this page pin the
+      // frame and block on the latch until the page is in, while the rest
+      // of the stripe stays available.
+      Status read;
+      {
+        obs::TraceSpan io_span("io.miss", "page", page_id);
+        read = disk_->ReadPage(page_id, frame.data.get());
+      }
       if (!read.ok()) {
         UninstallFailedMiss(frame_index, page_id);
         return read;
@@ -318,9 +263,9 @@ Result<PageHandle> BufferPool::Await(PendingFetch fetch)
     } else {
       LatchPageExclusive(frame.latch);
     }
-    // A failed install (disk error on the frame we were waiting for) can
-    // retire the frame under us; page_id is stable while we hold the
-    // latch, so re-check and retry the lookup.
+    // A failed read (disk error on the miss we were waiting for) retires
+    // the frame under us; page_id is stable while we hold the latch, so
+    // re-check and retry the lookup.
     if (frame.page_id != page_id) {
       if (mode == LatchMode::kShared) {
         frame.latch.unlock_shared();
@@ -328,7 +273,6 @@ Result<PageHandle> BufferPool::Await(PendingFetch fetch)
         frame.latch.unlock();
       }
       Unpin(frame_index, mode, /*latch_already_released=*/true);
-      fetch = StartFetch(page_id, mode);
       continue;
     }
     return PageHandle(this, frame_index, frame.data.get(),
@@ -336,73 +280,7 @@ Result<PageHandle> BufferPool::Await(PendingFetch fetch)
   }
 }
 
-Status BufferPool::FetchMany(std::span<const PageId> page_ids) {
-  if (page_ids.empty()) return Status::OK();
-  std::vector<PageId> pages(page_ids.begin(), page_ids.end());
-  std::sort(pages.begin(), pages.end());
-  pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
-  obs::TraceSpan batch_span("io.batch", "pages",
-                            static_cast<uint64_t>(pages.size()));
-  // Issue the misses of a chunk before awaiting any. FinishPrefetch
-  // releases each page (latch + pin) as soon as it awaits its read, so this
-  // loop never blocks on a page latch while holding another — no
-  // latch-order hazard regardless of what other threads hold. Chunking
-  // bounds the pins a batch holds at once: in the worst case every page
-  // of a chunk maps to the same stripe, so a chunk must stay well under
-  // one stripe's frame share or a frontier larger than the stripe pins
-  // it solid and allocation fails with every frame held by this batch.
-  const size_t stripe_frames =
-      std::max<size_t>(1, options_.buffer_pool_pages / stripes_.size());
-  const size_t chunk = std::max<size_t>(1, stripe_frames / 2);
-  std::vector<PendingFetch> pending;
-  pending.reserve(std::min(chunk, pages.size()));
-  Status first_error;
-  for (size_t begin = 0; begin < pages.size(); begin += chunk) {
-    const size_t end = std::min(begin + chunk, pages.size());
-    pending.clear();
-    for (size_t i = begin; i < end; ++i) {
-      pending.push_back(StartFetch(pages[i], LatchMode::kShared));
-    }
-    for (PendingFetch& fetch : pending) {
-      Status finished = fetch.pending() ? FinishPrefetch(fetch)
-                                        : fetch.issue_status();
-      // Prefetch is advisory warming: when concurrent pin pressure
-      // leaves no frame for a miss, skip the page — the caller's later
-      // read fetches it through the blocking path one page at a time.
-      if (finished.IsNoSpace()) continue;
-      if (!finished.ok() && first_error.ok()) first_error = finished;
-    }
-  }
-  return first_error;
-}
-
-// TSA exemption: releases the frame latch StartFetch left held.
-Status BufferPool::FinishPrefetch(PendingFetch& fetch)
-    OCB_NO_THREAD_SAFETY_ANALYSIS {
-  if (fetch.pool_ == nullptr) return fetch.issue_status_;
-  const size_t frame_index = fetch.frame_index_;
-  const PageId page_id = fetch.page_id_;
-  const bool miss = fetch.miss_;
-  const LatchMode mode = fetch.mode_;
-  fetch.pool_ = nullptr;
-  if (!miss) {
-    // Hit: never latched — just drop the pin.
-    Unpin(frame_index, mode, /*latch_already_released=*/true);
-    return Status::OK();
-  }
-  Status read = disk_->Await(fetch.ticket_);
-  if (!read.ok()) {
-    UninstallFailedMiss(frame_index, page_id);
-    return read;
-  }
-  frames_[frame_index].latch.unlock();
-  Unpin(frame_index, LatchMode::kExclusive,
-        /*latch_already_released=*/true);
-  return Status::OK();
-}
-
-// TSA exemption: releases the frame latch its caller's StartFetch left
-// held.
+// TSA exemption: releases the miss frame latch FetchPage left held.
 void BufferPool::UninstallFailedMiss(size_t frame_index, PageId page_id)
     OCB_NO_THREAD_SAFETY_ANALYSIS {
   Stripe& stripe = stripe_of(page_id);

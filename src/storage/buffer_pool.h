@@ -40,21 +40,14 @@
 /// is pinned once BeginQuiesce has returned. Database::QuiesceGuard is the
 /// intended entry point.
 ///
-/// Batched page reads (issue/await): StartFetch() performs the table lookup
-/// and, on a miss, claims + installs the frame and issues the disk read
-/// (DiskSim::StartRead, which moves the bytes inline and stamps the read's
-/// simulated completion instant); Await() charges that instant to the
-/// clock, downgrades to the requested latch mode, and returns the handle.
-/// FetchPage is exactly Await(StartFetch(...)). A pending frame is
-/// X-latched by the issuing thread for the whole issue→await window, so
-/// concurrent fetchers pin and block on the latch precisely as they do for
-/// a blocking miss. FetchMany() is the multi-miss batch form: it issues
-/// every miss before awaiting any, so the batch costs one device latency
-/// of simulated time, then *releases* each page (latch and pin). It is
-/// pure cache warming: it never blocks on a latch while holding another
-/// and is deadlock-free under any interleaving with the ascending-page-id
-/// multi-handle rule. A dirty victim is written back by the miss that
-/// evicts it, under the stripe mutex.
+/// Page reads are demand-paged: FetchPage is the only read. A miss claims
+/// and X-latches a frame under the stripe mutex, installs it, and reads the
+/// page from disk outside the mutex while holding the frame latch, so
+/// concurrent fetchers of the page pin the frame and wait on its latch
+/// while the rest of the stripe stays available. A failed read uninstalls
+/// the frame; a waiter re-checks the frame's page id once latched and
+/// retries. A dirty victim is written back by the miss that evicts it,
+/// under the stripe mutex.
 
 #ifndef OCB_STORAGE_BUFFER_POOL_H_
 #define OCB_STORAGE_BUFFER_POOL_H_
@@ -64,7 +57,6 @@
 #include <cstdint>
 #include <list>
 #include <memory>
-#include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -124,46 +116,6 @@ class PageHandle {
   LatchMode mode_ = LatchMode::kExclusive;
 };
 
-/// \brief An issued-but-not-awaited page fetch (the half-open state between
-/// StartFetch and Await).
-///
-/// Move-only. The owning thread must resolve it with BufferPool::Await on
-/// the same thread that issued it (a pending miss holds the frame's X
-/// latch, and latches are thread-owned). Destroying an unresolved
-/// PendingFetch abandons it safely: the read is awaited (the frame stays
-/// installed on success, is uninstalled on error) and the pin released.
-class PendingFetch {
- public:
-  PendingFetch() = default;
-  ~PendingFetch();
-
-  PendingFetch(PendingFetch&& other) noexcept;
-  PendingFetch& operator=(PendingFetch&& other) noexcept;
-  PendingFetch(const PendingFetch&) = delete;
-  PendingFetch& operator=(const PendingFetch&) = delete;
-
-  /// False for default-constructed, failed-at-issue, moved-from or
-  /// already-awaited fetches.
-  bool pending() const { return pool_ != nullptr; }
-
-  /// Why issuing failed (only meaningful when !pending() right after
-  /// StartFetch — e.g. every frame of the stripe was pinned).
-  const Status& issue_status() const { return issue_status_; }
-
-  PageId page_id() const { return page_id_; }
-
- private:
-  friend class BufferPool;
-
-  BufferPool* pool_ = nullptr;
-  size_t frame_index_ = 0;
-  PageId page_id_ = kInvalidPageId;
-  LatchMode mode_ = LatchMode::kExclusive;
-  bool miss_ = false;  ///< Miss: frame X-latched by us, ticket_ in flight.
-  IoTicket ticket_;
-  Status issue_status_;
-};
-
 /// Hit/miss statistics of a buffer pool.
 struct BufferPoolStats {
   // Atomic (relaxed) so phase-boundary readers may snapshot while other
@@ -217,36 +169,11 @@ class BufferPool {
 
   /// Returns a pinned handle to \p page_id latched in \p mode, reading the
   /// page from disk on a miss. kShared handles of one page coexist; a
-  /// kExclusive handle waits out every other handle of that page.
-  /// Await(StartFetch(...)).
+  /// kExclusive handle waits out every other handle of that page. A failed
+  /// read uninstalls the frame and returns the disk's error; NoSpace when
+  /// every frame of the page's stripe is pinned.
   Result<PageHandle> FetchPage(PageId page_id,
                                LatchMode mode = LatchMode::kExclusive);
-
-  /// Issues a fetch of \p page_id without charging the read's latency to
-  /// the clock. On a hit the page is pinned (not yet latched); on a miss
-  /// the frame is claimed, installed and X-latched, and the read is issued
-  /// to the DiskSim — outside the stripe mutex. Resolve with Await on the
-  /// same thread.
-  /// When issuing fails (e.g. all frames pinned), the returned object is
-  /// !pending() and carries issue_status().
-  PendingFetch StartFetch(PageId page_id,
-                          LatchMode mode = LatchMode::kExclusive);
-
-  /// Completes \p fetch: awaits the miss read (if any), acquires the
-  /// requested latch mode, and returns the pinned handle. Retries
-  /// internally if the frame was retired under us by a failed install.
-  Result<PageHandle> Await(PendingFetch fetch);
-
-  /// Multi-miss batch prefetch: issues the disk read for *every* missing
-  /// page of \p page_ids (deduplicated, ascending; in chunks of at most
-  /// half a stripe's frames) before awaiting any, so the reads overlap in
-  /// simulated time, then releases each page as its read is awaited — on
-  /// return the pages are resident but unpinned, so subsequent FetchPage
-  /// calls hit. Never blocks on a page latch, so it is safe to call
-  /// regardless of what other threads hold. Returns the first read error,
-  /// if any (callers treating this as a hint may ignore it; the
-  /// authoritative error surfaces on the later FetchPage).
-  Status FetchMany(std::span<const PageId> page_ids);
 
   /// Allocates a brand-new page on disk and returns it pinned, dirty and
   /// kExclusive-latched.
@@ -290,7 +217,6 @@ class BufferPool {
 
  private:
   friend class PageHandle;
-  friend class PendingFetch;
 
   struct Frame {
     /// The page latch. Its lockdep key is rebound (SetLockdepKey) to the
@@ -362,14 +288,9 @@ class BufferPool {
   Status EvictFrame(Stripe& stripe, size_t frame_index)
       OCB_REQUIRES(stripe.mu);
 
-  /// Finishes a prefetch-issued page: awaits the miss read (if any) and
-  /// releases the page (latch + pin) immediately. Never blocks on a
-  /// latch. Also the ~PendingFetch abandon path.
-  Status FinishPrefetch(PendingFetch& fetch);
-
-  /// Uninstalls a miss frame whose read failed (FetchPage's historical
-  /// disk-error cleanup). Requires the frame X latch, which it releases
-  /// along with the pin.
+  /// Uninstalls a miss frame whose read failed (FetchPage's disk-error
+  /// cleanup). Requires the frame X latch, which it releases along with
+  /// the pin; late waiters on the latch see the cleared page_id and retry.
   void UninstallFailedMiss(size_t frame_index, PageId page_id);
 
   void Unpin(size_t frame_index, LatchMode mode,

@@ -1,7 +1,6 @@
 #include "storage/disk_sim.h"
 
 #include <cstring>
-#include <utility>
 
 #include "util/format.h"
 
@@ -21,30 +20,8 @@ const char* IoScopeToString(IoScope scope) {
   return "unknown";
 }
 
-IoTicket::IoTicket(IoTicket&& other) noexcept
-    : valid_(std::exchange(other.valid_, false)),
-      status_(std::move(other.status_)),
-      complete_sim_nanos_(other.complete_sim_nanos_) {}
-
-IoTicket& IoTicket::operator=(IoTicket&& other) noexcept {
-  if (this != &other) {
-    valid_ = std::exchange(other.valid_, false);
-    status_ = std::move(other.status_);
-    complete_sim_nanos_ = other.complete_sim_nanos_;
-  }
-  return *this;
-}
-
 DiskSim::DiskSim(const StorageOptions& options, SimClock* clock)
-    : options_(options), clock_(clock) {
-  if (!options_.backing_file.empty()) {
-    backing_ = std::fopen(options_.backing_file.c_str(), "wb+");
-  }
-}
-
-DiskSim::~DiskSim() {
-  if (backing_ != nullptr) std::fclose(backing_);
-}
+    : options_(options), clock_(clock) {}
 
 PageId DiskSim::AllocatePage() {
   auto page = std::make_unique<uint8_t[]>(options_.page_size);
@@ -62,9 +39,8 @@ uint8_t* DiskSim::Charge(PageId page_id, bool write,
     if (page_id >= pages_.size()) return nullptr;
     page = pages_[page_id].get();
   }
-  // The counter and the completion instant depend only on the order in
-  // which this thread issues, so single-threaded runs stay
-  // bit-deterministic.
+  // The counter and the completion instant depend only on the order of
+  // this thread's I/Os, so single-threaded runs stay bit-deterministic.
   IoCounters& counters = counters_[static_cast<size_t>(scope())];
   uint64_t latency_nanos = 0;
   if (write) {
@@ -86,30 +62,15 @@ void DiskSim::AdvanceClock(uint64_t complete_sim_nanos) {
                               std::memory_order_relaxed);
 }
 
-IoTicket DiskSim::StartRead(PageId page_id, uint8_t* out) {
+Status DiskSim::ReadPage(PageId page_id, uint8_t* out) {
   uint64_t complete_sim_nanos = 0;
   const uint8_t* page = Charge(page_id, /*write=*/false, &complete_sim_nanos);
   if (page == nullptr) {
-    return IoTicket(
-        Status::IOError(Format("read of unallocated page %u", page_id)), 0);
+    return Status::IOError(Format("read of unallocated page %u", page_id));
   }
   std::memcpy(out, page, options_.page_size);
-  return IoTicket(Status::OK(), complete_sim_nanos);
-}
-
-Status DiskSim::Await(IoTicket& ticket) {
-  if (!ticket.valid()) {
-    return Status::InvalidArgument("await of an empty io ticket");
-  }
-  ticket.valid_ = false;
-  Status status = std::move(ticket.status_);
-  if (status.ok()) AdvanceClock(ticket.complete_sim_nanos_);
-  return status;
-}
-
-Status DiskSim::ReadPage(PageId page_id, uint8_t* out) {
-  IoTicket ticket = StartRead(page_id, out);
-  return Await(ticket);
+  AdvanceClock(complete_sim_nanos);
+  return Status::OK();
 }
 
 Status DiskSim::WritePage(PageId page_id, const uint8_t* data) {
@@ -119,17 +80,6 @@ Status DiskSim::WritePage(PageId page_id, const uint8_t* data) {
     return Status::IOError(Format("write of unallocated page %u", page_id));
   }
   std::memcpy(page, data, options_.page_size);
-  if (backing_ != nullptr) {
-    MutexLock file_lock(backing_mu_);
-    const long offset =
-        static_cast<long>(page_id) * static_cast<long>(options_.page_size);
-    if (std::fseek(backing_, offset, SEEK_SET) != 0 ||
-        std::fwrite(data, 1, options_.page_size, backing_) !=
-            options_.page_size) {
-      return Status::IOError(Format(
-          "write-through to backing file failed for page %u", page_id));
-    }
-  }
   AdvanceClock(complete_sim_nanos);
   return Status::OK();
 }

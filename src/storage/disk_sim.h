@@ -1,18 +1,17 @@
 /// \file disk_sim.h
 /// \brief Simulated disk: the unit of OCB's headline metric (page I/Os).
 ///
-/// Pages live in memory (optionally mirrored write-through to a real file);
-/// every read/write increments a counter and charges simulated latency to a
-/// SimClock. The paper distinguishes the I/Os needed to execute transactions
-/// from the clustering overhead I/Os (§3.3, metrics): DiskSim therefore
-/// attributes every I/O to the currently active *accounting scope*.
+/// Pages live in memory; every read/write increments a counter and charges
+/// simulated latency to a SimClock. The paper distinguishes the I/Os
+/// needed to execute transactions from the clustering overhead I/Os (§3.3,
+/// metrics): DiskSim therefore attributes every I/O to the currently active
+/// *accounting scope*.
 ///
-/// Every I/O runs inline on the caller's thread. A read can still be split
-/// into issue and await: StartRead moves the bytes and stamps the read's
-/// simulated completion instant (issue time + latency); Await advances the
-/// SimClock to that instant. Reads issued before any of them is awaited
-/// therefore overlap in simulated time: N of them cost one device latency,
-/// not N (BufferPool::FetchMany).
+/// Every I/O runs inline on the caller's thread, in one call: ReadPage and
+/// WritePage stamp the I/O's simulated completion instant (now + latency),
+/// copy the page, and advance the SimClock to that instant. The advance is
+/// a max (SimClock::AdvanceTo), so the I/Os of concurrent clients overlap
+/// in simulated time while one thread's I/Os add up serially.
 
 #ifndef OCB_STORAGE_DISK_SIM_H_
 #define OCB_STORAGE_DISK_SIM_H_
@@ -20,9 +19,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "storage/storage_options.h"
@@ -70,35 +67,6 @@ struct IoCounters {
   }
 };
 
-/// \brief Move-only handle to an issued page read.
-///
-/// Obtained from DiskSim::StartRead, resolved by DiskSim::Await. The read
-/// already ran on the issuing thread: the ticket is its status plus its
-/// simulated completion instant.
-class IoTicket {
- public:
-  IoTicket() = default;
-  IoTicket(IoTicket&& other) noexcept;
-  IoTicket& operator=(IoTicket&& other) noexcept;
-  IoTicket(const IoTicket&) = delete;
-  IoTicket& operator=(const IoTicket&) = delete;
-
-  /// False for default-constructed, moved-from and awaited tickets.
-  bool valid() const { return valid_; }
-
- private:
-  friend class DiskSim;
-  IoTicket(Status status, uint64_t complete_sim_nanos)
-      : valid_(true), status_(std::move(status)),
-        complete_sim_nanos_(complete_sim_nanos) {}
-
-  bool valid_ = false;
-  Status status_;
-  /// Simulated instant the read completes (issue time + latency); Await
-  /// advances the SimClock to it. 0 when no clock is attached.
-  uint64_t complete_sim_nanos_ = 0;
-};
-
 /// \brief In-memory page array with I/O accounting and simulated latency.
 ///
 /// Thread-safe for concurrent I/O on *distinct* pages: the page directory
@@ -112,7 +80,6 @@ class DiskSim {
   /// \param clock Simulated clock charged for every I/O; may be nullptr to
   ///        disable latency accounting.
   explicit DiskSim(const StorageOptions& options, SimClock* clock = nullptr);
-  ~DiskSim();
 
   DiskSim(const DiskSim&) = delete;
   DiskSim& operator=(const DiskSim&) = delete;
@@ -121,25 +88,15 @@ class DiskSim {
   /// the page is charged when first written back.
   PageId AllocatePage();
 
-  /// Copies page \p page_id into \p out (page_size bytes). Counts one read.
-  /// Equivalent to StartRead followed by Await.
+  /// Copies page \p page_id into \p out (page_size bytes). Counts one read
+  /// and advances the clock by its latency. An unallocated page fails with
+  /// IOError and charges nothing.
   Status ReadPage(PageId page_id, uint8_t* out);
 
   /// Overwrites page \p page_id from \p data. Counts one write and
   /// advances the clock by its latency; \p data is read in place, never
   /// copied to a staging buffer.
   Status WritePage(PageId page_id, const uint8_t* data);
-
-  /// Reads \p page_id into \p out, counts the read and stamps its
-  /// simulated completion instant, without advancing the clock. An
-  /// unallocated page fails here, charging nothing; the error surfaces
-  /// from Await.
-  IoTicket StartRead(PageId page_id, uint8_t* out);
-
-  /// Advances the clock to \p ticket's completion instant (a no-op when
-  /// the clock is already past it) and returns the read's status. The
-  /// ticket becomes invalid; an invalid ticket returns InvalidArgument.
-  Status Await(IoTicket& ticket);
 
   /// Sum of every charged I/O's device latency — what a fully serialized
   /// execution would have charged the clock.
@@ -212,11 +169,6 @@ class DiskSim {
   mutable SharedMutex pages_mu_{lockdep::kDiskDirectoryClass};
   std::vector<std::unique_ptr<uint8_t[]>> pages_ OCB_GUARDED_BY(pages_mu_);
   std::array<IoCounters, static_cast<size_t>(IoScope::kNumScopes)> counters_;
-  /// Serializes write-through fseek+fwrite pairs. The pointer itself is
-  /// set at construction and read freely; the mutex guards the stream
-  /// *position* between the seek and the write.
-  Mutex backing_mu_{lockdep::kDiskBackingClass};
-  std::FILE* backing_ = nullptr;
 };
 
 /// \brief RAII guard that switches the DiskSim accounting scope and restores

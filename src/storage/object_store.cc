@@ -147,20 +147,6 @@ Status ObjectStore::InsertWithOid(Oid oid, std::span<const uint8_t> bytes) {
   return Status::OK();
 }
 
-Status ObjectStore::Prefetch(std::span<const Oid> oids) {
-  if (oids.empty()) return Status::OK();
-  // Unvalidated lookups are fine here: a location that goes stale before
-  // the later Read just warms one extra page — the read path re-validates
-  // under the latch as always.
-  std::vector<PageId> pages;
-  pages.reserve(oids.size());
-  for (Oid oid : oids) {
-    ObjectLocation loc;
-    if (table_.Lookup(oid, &loc)) pages.push_back(loc.page_id);
-  }
-  return pool_->FetchMany(pages);
-}
-
 Status ObjectStore::Read(Oid oid, std::vector<uint8_t>* out) {
   for (int attempt = 0; attempt < kMaxResolveAttempts; ++attempt) {
     ObjectLocation loc;

@@ -121,17 +121,9 @@ class ObjectStore {
   bool CanHold(Oid oid) const { return table_.Holds(oid); }
 
   /// Copies the object's bytes into \p out (under the page's shared
-  /// latch, so the copy is never torn by a concurrent writer).
+  /// latch, so the copy is never torn by a concurrent writer). The page is
+  /// fetched on demand: a buffer-pool miss costs exactly one disk read.
   Status Read(Oid oid, std::vector<uint8_t>* out);
-
-  /// Warms the cache for a batch of upcoming reads: resolves each oid to
-  /// its page and issues every buffer-pool miss as ONE batch
-  /// (BufferPool::FetchMany) so the disk reads overlap instead of
-  /// serializing miss-by-miss. Purely advisory — unknown oids are skipped,
-  /// a stale location just prefetches a page the read path will not use,
-  /// and errors are returned only as a hint (the authoritative error
-  /// surfaces on the later Read). Never blocks on a page latch.
-  Status Prefetch(std::span<const Oid> oids);
 
   /// Replaces the object's bytes (may relocate it if it no longer fits).
   Status Update(Oid oid, std::span<const uint8_t> bytes);

@@ -6,7 +6,10 @@
 /// Simulated latencies approximate a 1998-era disk (~10 ms seek+rotation
 /// per page I/O) so that simulated response times have a realistic
 /// I/O-dominated shape. Every page I/O completes inline on the calling
-/// thread; batched reads overlap in simulated time only (disk_sim.h).
+/// thread, and pages are read on demand (one disk read per buffer-pool
+/// miss); only concurrent clients' I/Os overlap in simulated time
+/// (disk_sim.h). Pages live in memory: durability comes from the WAL and
+/// checkpoint snapshots, not from the simulated disk.
 
 #ifndef OCB_STORAGE_STORAGE_OPTIONS_H_
 #define OCB_STORAGE_STORAGE_OPTIONS_H_
@@ -62,10 +65,6 @@ struct StorageOptions {
 
   /// Simulated latency charged per page write, in nanoseconds.
   uint64_t write_latency_nanos = 10'000'000;
-
-  /// If non-empty, pages are also persisted (write-through) to this file,
-  /// demonstrating durable storage; empty keeps the disk purely in memory.
-  std::string backing_file;
 
   /// If non-empty, a *real* redo write-ahead log is kept at this path:
   /// the commit pipeline's leader appends every committed transaction's

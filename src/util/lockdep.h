@@ -155,13 +155,13 @@ inline LockClass kQuiesceClass{"pool.quiesce", 120};
 
 /// Per-frame page latches (key = page id; multi-page operations must
 /// ascend — the relocation-path rule). Ranked *above* the stripe mutexes
-/// because the checked (blocking) order is frame-then-stripe: the batch
-/// prefetch issue loop and the failed-miss cleanup acquire the next
-/// page's stripe mutex while still holding miss frame latches. The fetch
-/// path's opposite-looking nesting (stripe held, then a frame) only ever
-/// *try-locks* the frame — an acquisition that cannot block and is
-/// therefore exempt — precisely so a latch holder waiting on the stripe
-/// mutex can never deadlock it.
+/// because the checked (blocking) order is frame-then-stripe: the
+/// failed-miss cleanup takes its stripe mutex while holding the miss
+/// frame's latch, and a two-page operation fetches its second page while
+/// holding the first page's latch. The fetch path's opposite-looking
+/// nesting (stripe held, then a frame) only ever *try-locks* the frame —
+/// an acquisition that cannot block and is therefore exempt — precisely
+/// so a latch holder waiting on the stripe mutex can never deadlock it.
 inline LockClass kFrameLatchClass{"page.frame", 130, kOrderedByKey};
 
 /// Buffer-pool page-table stripe mutexes (key = stripe index). See
@@ -183,9 +183,6 @@ inline LockClass kVersionChainClass{"versionstore.chain", 170,
 
 /// DiskSim page-directory mutex.
 inline LockClass kDiskDirectoryClass{"disk.directory", 180};
-
-/// DiskSim backing-file mutex (write-through fseek+fwrite pairs).
-inline LockClass kDiskBackingClass{"disk.backing", 190};
 
 /// WAL writer mutex: appended to under the coordinator/commit path,
 /// nests nothing of the engine's below it.

@@ -35,12 +35,12 @@ class SimClock {
   /// Advances the clock to at least \p target_nanos; a no-op if the clock
   /// is already past it. Returns the nanoseconds actually added.
   ///
-  /// This is how overlapped I/O charges overlapped simulated time: each
-  /// request computes its own completion instant (issue time + device
-  /// latency) and the clock takes the max, so K requests in flight
-  /// together advance the clock by ~one latency, not K of them, while a
-  /// dependent chain (issue → await → issue) still accumulates the full
-  /// serial sum through its issue timestamps.
+  /// This is how concurrent clients' I/Os overlap in simulated time: each
+  /// I/O stamps its own completion instant (start time + device latency)
+  /// and the clock takes the max, so K clients' reads in flight together
+  /// advance the clock by ~one latency, not K of them, while one thread's
+  /// I/Os, each started after the previous one advanced the clock, still
+  /// add up to the full serial sum.
   uint64_t AdvanceTo(uint64_t target_nanos) {
     uint64_t current = nanos_.load(std::memory_order_relaxed);
     while (current < target_nanos) {

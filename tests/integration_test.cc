@@ -5,15 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "clustering/dfs_placement.h"
 #include "clustering/dstc.h"
 #include "clustering/greedy_graph.h"
+#include "engine/session.h"
 #include "legacy/club.h"
 #include "legacy/oo1.h"
 #include "ocb/experiment.h"
 #include "ocb/generator.h"
 #include "ocb/protocol.h"
+#include "sharding/sharded_database.h"
 
 namespace ocb {
 namespace {
@@ -198,11 +202,13 @@ void ExpectOutcome(const SimulatedOutcome& got,
 
 // I/Os and simulated response time per transaction are OCB's headline
 // metrics (paper Tables 4 and 5). A change to the page-I/O path must leave
-// them bit-identical, so two small single-client experiments pin them:
-//   * the Table 2 read mix on the legacy path under DSTC, whose BFS
-//     frontiers go through BufferPool::FetchMany (overlapped batches);
+// them bit-identical, so two small single-client experiments pin them.
+// Pages are read on demand, so every miss is one read and, in one client,
+// adds one full device latency to the response time:
+//   * the Table 2 read mix on the legacy path under DSTC, through a
+//     16-frame pool, before and after reclustering;
 //   * the generic read/write mix under 2PL with locking readers and no
-//     clustering, which prefetches lock footprints and evicts dirty pages.
+//     clustering, whose misses also evict and write back dirty pages.
 TEST(IntegrationTest, SimulatedIoIsPinned) {
   {
     Dstc dstc;
@@ -210,13 +216,13 @@ TEST(IntegrationTest, SimulatedIoIsPinned) {
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ASSERT_GE(dstc.stats().reorganizations, 1u);
     SimulatedOutcome want;
-    want.ios_before = 13.175000000000001;
-    want.ios_after = 10.133333333333333;
+    want.ios_before = 11.641666666666662;
+    want.ios_after = 9.6666666666666643;
     want.clustering_overhead_io = 843;
-    want.transaction_reads = 3613;
+    want.transaction_reads = 3315;
     want.transaction_writes = 0;
-    want.warm_response_nanos_before = 6'670'000'000;
-    want.warm_response_nanos_after = 5'100'000'000;
+    want.warm_response_nanos_before = 13'970'000'000;
+    want.warm_response_nanos_after = 11'600'000'000;
     ExpectOutcome(Summarize(*result), want);
   }
   {
@@ -235,14 +241,94 @@ TEST(IntegrationTest, SimulatedIoIsPinned) {
     auto result = RunBeforeAfterExperiment(config, &none);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     SimulatedOutcome want;
-    want.ios_before = 8.3916666666666639;
-    want.ios_after = 8.3916666666666675;
+    want.ios_before = 7.4916666666666689;
+    want.ios_after = 7.591666666666665;
     want.clustering_overhead_io = 0;
-    want.transaction_reads = 2672;
+    want.transaction_reads = 2437;
     want.transaction_writes = 597;
-    want.warm_response_nanos_before = 7'430'000'000;
-    want.warm_response_nanos_after = 7'350'000'000;
+    want.warm_response_nanos_before = 11'310'000'000;
+    want.warm_response_nanos_after = 11'340'000'000;
     ExpectOutcome(Summarize(*result), want);
+  }
+}
+
+// The page reads and simulated time one transaction is charged.
+struct ReadCharge {
+  uint64_t reads = 0;
+  uint64_t sim_nanos = 0;
+};
+
+// Cold-restarts \p db, then reads \p root, walks BFS from it (depth 3)
+// and reads \p batch in one transaction of \p mode (a legacy bracket when
+// \p legacy), and returns what that work was charged before Commit.
+template <typename DB>
+ReadCharge ChargeOfOneTransaction(DB* db, bool legacy, TxnMode mode,
+                                  Oid root, std::span<const Oid> batch) {
+  EXPECT_TRUE(db->ColdRestart().ok());
+  ScopedEngineIoScope<DB> scope(db, IoScope::kTransaction);
+  const uint64_t reads_before =
+      db->IoCountersFor(IoScope::kTransaction).reads.load();
+  const uint64_t nanos_before = db->SimNowNanos();
+  auto session = db->OpenSession();
+  auto txn = legacy ? session.BeginLegacy() : session.Begin(mode);
+  auto root_object = txn.Get(root);
+  EXPECT_TRUE(root_object.ok());
+  if (!root_object.ok()) return {};
+  TraversePolicy bfs;
+  bfs.kind = TraverseKind::kBreadthFirst;
+  auto walked = txn.Traverse(*root_object, /*depth=*/3, bfs);
+  EXPECT_TRUE(walked.ok());
+  auto objects = txn.GetMany(batch);
+  EXPECT_TRUE(objects.ok());
+  EXPECT_EQ(objects.ok() ? objects->size() : 0, batch.size());
+  ReadCharge charge;
+  charge.reads =
+      db->IoCountersFor(IoScope::kTransaction).reads.load() - reads_before;
+  charge.sim_nanos = db->SimNowNanos() - nanos_before;
+  EXPECT_TRUE(txn.Commit().ok());
+  return charge;
+}
+
+// One read rule: pages are read on demand whatever the TxnMode and
+// whichever engine runs the transaction, so the same work reads the same
+// pages and is charged the same simulated time in all ten runs.
+TEST(IntegrationTest, EveryModeAndEngineIsChargedTheSameReads) {
+  const ExperimentConfig config = SmallConfig();  // A 16-frame pool.
+  Database db(config.storage);
+  ShardedDatabase sharded(config.storage, /*shard_count=*/1);
+  ASSERT_TRUE(GenerateDatabase(config.preset.database, &db).ok());
+  ASSERT_TRUE(GenerateDatabase(config.preset.database, &sharded).ok());
+  const std::vector<Oid> live = db.LiveOidsSnapshot();
+  ASSERT_EQ(sharded.LiveOidsSnapshot(), live);
+  const Oid root = live[live.size() / 3];
+  std::vector<Oid> batch;
+  for (size_t i = 0; i < 20; ++i) {
+    batch.push_back(live[(i * 59 + 7) % live.size()]);
+  }
+
+  struct Run {
+    bool legacy;
+    TxnMode mode;
+  };
+  const Run runs[] = {{true, TxnMode::k2PL},
+                      {false, TxnMode::k2PL},
+                      {false, TxnMode::kOCC},
+                      {false, TxnMode::kSnapshotRead},
+                      {false, TxnMode::kSI}};
+  std::vector<ReadCharge> charges;
+  for (const Run& run : runs) {
+    charges.push_back(
+        ChargeOfOneTransaction(&db, run.legacy, run.mode, root, batch));
+    charges.push_back(
+        ChargeOfOneTransaction(&sharded, run.legacy, run.mode, root, batch));
+  }
+  ASSERT_GT(charges[0].reads, 0u);
+  // One client's reads never overlap: each adds its full latency.
+  EXPECT_EQ(charges[0].sim_nanos,
+            charges[0].reads * config.storage.read_latency_nanos);
+  for (size_t i = 1; i < charges.size(); ++i) {
+    EXPECT_EQ(charges[i].reads, charges[0].reads) << "run " << i;
+    EXPECT_EQ(charges[i].sim_nanos, charges[0].sim_nanos) << "run " << i;
   }
 }
 

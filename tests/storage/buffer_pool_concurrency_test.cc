@@ -1,6 +1,7 @@
 // Multi-threaded buffer-pool tests for the striped, page-latched design:
-// concurrent fetch/dirty/evict traffic across stripes, pin-blocks-eviction
-// under pressure, shared/exclusive latch semantics, and the quiesce gate.
+// concurrent fetch/dirty/evict traffic across stripes, failed misses under
+// contention, pin-blocks-eviction under pressure, shared/exclusive latch
+// semantics, and the quiesce gate.
 // Carries the `concurrency` ctest label, so CI re-runs it under TSan; every
 // test must also hold at OCB_LATCH_STRIPES=1 (the degenerate single-stripe
 // build) — correctness may not depend on striping.
@@ -27,6 +28,9 @@ StorageOptions PoolOptions(size_t frames, size_t stripes,
   return opts;
 }
 
+// The marker byte SeedPages fills page `id`'s record with.
+uint8_t MarkerOf(PageId id) { return static_cast<uint8_t>(id * 7 + 1); }
+
 // Creates `count` pages, each holding one `record_size`-byte record filled
 // with a per-page marker byte; returns the page ids.
 std::vector<PageId> SeedPages(BufferPool* pool, size_t count,
@@ -37,8 +41,8 @@ std::vector<PageId> SeedPages(BufferPool* pool, size_t count,
     auto handle = pool->NewPage(&id);
     EXPECT_TRUE(handle.ok());
     Page page = handle->page();
-    const uint8_t marker = static_cast<uint8_t>(id * 7 + 1);
-    auto slot = page.Insert(std::vector<uint8_t>(record_size, marker));
+    auto slot =
+        page.Insert(std::vector<uint8_t>(record_size, MarkerOf(id)));
     EXPECT_TRUE(slot.ok());
     handle->MarkDirty();
     pages.push_back(id);
@@ -124,6 +128,82 @@ TEST(BufferPoolConcurrencyTest, ConcurrentFetchDirtyEvictAcrossStripes) {
     ASSERT_TRUE(handle.ok());
     EXPECT_TRUE(RecordUniform(handle->page(), 0, kRecordSize))
         << "page " << page_id;
+  }
+}
+
+// Readers, dirty writers and fetchers of one unallocated page over a pool
+// far smaller than the page set (2 stripes over 8 frames): misses evict
+// while other threads wait on frames being read into, dirty victims are
+// written back under the stripe mutex, and fetchers of the missing page
+// pile up on a miss whose read fails, so the failed-miss cleanup races
+// the waiters' page_id re-check.
+TEST(BufferPoolConcurrencyTest, FetchEvictDirtyWriteStorm) {
+  constexpr size_t kPages = 48;
+  constexpr size_t kRecordSize = 16;
+  constexpr int kThreads = 4;
+  constexpr int kOpsPerThread = 400;
+  const StorageOptions opts = PoolOptions(8, 2);
+  DiskSim disk(opts);
+  BufferPool pool(&disk, opts);
+  const std::vector<PageId> pages = SeedPages(&pool, kPages, kRecordSize);
+  ASSERT_TRUE(pool.FlushAll().ok());
+  ASSERT_TRUE(pool.InvalidateAll().ok());
+  const PageId missing = static_cast<PageId>(disk.num_pages() + 5);
+
+  std::atomic<bool> failed{false};
+  auto worker = [&](unsigned seed) {
+    uint64_t state = seed * 2654435761u + 1;
+    auto next = [&state]() {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      return static_cast<uint32_t>(state >> 33);
+    };
+    for (int op = 0; op < kOpsPerThread && !failed.load(); ++op) {
+      const uint32_t dice = next() % 10;
+      const PageId page_id = pages[next() % kPages];
+      if (dice < 2) {
+        // The read fails; NoSpace is the pool's legal all-pinned answer.
+        auto h = pool.FetchPage(missing, LatchMode::kShared);
+        if (h.ok() || !(h.status().IsIOError() || h.status().IsNoSpace())) {
+          failed = true;
+        }
+      } else if (dice < 7) {
+        auto h = pool.FetchPage(page_id, LatchMode::kShared);
+        if (!h.ok()) {
+          if (!h.status().IsNoSpace()) failed = true;
+          continue;
+        }
+        auto rec = h->page().Read(0);
+        if (!rec.ok() || (*rec)[0] != MarkerOf(page_id)) failed = true;
+      } else {
+        // Rewrite the marker with the same value, so readers stay
+        // consistent while the frame goes through dirty eviction.
+        auto h = pool.FetchPage(page_id, LatchMode::kExclusive);
+        if (!h.ok()) {
+          if (!h.status().IsNoSpace()) failed = true;
+          continue;
+        }
+        const std::vector<uint8_t> marker(kRecordSize, MarkerOf(page_id));
+        if (!h->page().Update(0, marker).ok()) failed = true;
+        h->MarkDirty();
+      }
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) threads.emplace_back(worker, t + 1);
+  for (auto& t : threads) t.join();
+  EXPECT_FALSE(failed.load());
+  EXPECT_EQ(pool.pinned_frames(), 0u);
+  EXPECT_EQ(pool.total_pins(), 0u);
+  EXPECT_GT(pool.stats().dirty_writebacks.load(), 0u);
+
+  // Post-storm integrity: every page still carries its marker.
+  ASSERT_TRUE(pool.FlushAll().ok());
+  ASSERT_TRUE(pool.InvalidateAll().ok());
+  for (PageId page_id : pages) {
+    auto h = pool.FetchPage(page_id, LatchMode::kShared);
+    ASSERT_TRUE(h.ok());
+    EXPECT_TRUE(RecordUniform(h->page(), 0, kRecordSize));
+    EXPECT_EQ((*h->page().Read(0))[0], MarkerOf(page_id));
   }
 }
 

@@ -124,6 +124,41 @@ TEST(BufferPoolTest, AllPinnedFailsCleanly) {
   auto h2 = pool.NewPage(&p2);
   EXPECT_FALSE(h2.ok());
   EXPECT_TRUE(h2.status().IsNoSpace());
+  // A miss finds no frame either, and backs its pin count out.
+  auto fetched = pool.FetchPage(disk.AllocatePage());
+  EXPECT_TRUE(fetched.status().IsNoSpace());
+  EXPECT_EQ(pool.pinned_frames(), 2u);
+  EXPECT_EQ(pool.total_pins(), 2u);
+}
+
+// A miss whose disk read fails (here: a page id the disk never allocated)
+// leaves nothing behind: the frame is uninstalled and unpinned, so a
+// second fetch of the id misses and fails again instead of hitting, and
+// every frame can still be claimed afterwards.
+TEST(BufferPoolTest, FailedMissUninstallsItsFrame) {
+  const StorageOptions opts = PoolOptions(4);
+  DiskSim disk(opts);
+  BufferPool pool(&disk, opts);
+  constexpr PageId kUnallocated = 99;
+  auto failed = pool.FetchPage(kUnallocated, LatchMode::kShared);
+  EXPECT_TRUE(failed.status().IsIOError());
+  EXPECT_EQ(pool.pinned_frames(), 0u);
+  EXPECT_EQ(pool.total_pins(), 0u);
+
+  auto again = pool.FetchPage(kUnallocated);
+  EXPECT_TRUE(again.status().IsIOError());
+  EXPECT_EQ(pool.stats().misses, 2u);
+  EXPECT_EQ(pool.stats().hits, 0u);
+  EXPECT_EQ(disk.TotalCounters().reads, 0u);  // Failed reads charge nothing.
+
+  std::vector<PageHandle> held;
+  for (size_t i = 0; i < opts.buffer_pool_pages; ++i) {
+    PageId id = kInvalidPageId;
+    auto h = pool.NewPage(&id);
+    ASSERT_TRUE(h.ok()) << h.status().ToString();
+    held.push_back(std::move(h).value());
+  }
+  EXPECT_EQ(pool.pinned_frames(), opts.buffer_pool_pages);
 }
 
 TEST(BufferPoolTest, FlushAllPersistsWithoutEvicting) {

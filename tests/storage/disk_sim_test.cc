@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
 #include <vector>
 
 namespace ocb {
@@ -40,10 +42,16 @@ TEST(DiskSimTest, FreshPageIsZeroed) {
 }
 
 TEST(DiskSimTest, OutOfRangeAccessFails) {
-  DiskSim disk(SmallOptions());
+  SimClock clock;
+  DiskSim disk(SmallOptions(), &clock);
   std::vector<uint8_t> buf(512);
   EXPECT_TRUE(disk.ReadPage(3, buf.data()).IsIOError());
   EXPECT_TRUE(disk.WritePage(3, buf.data()).IsIOError());
+  // A failed I/O charges nothing: no counter, no latency, no clock advance.
+  EXPECT_EQ(disk.TotalCounters().total(), 0u);
+  EXPECT_EQ(disk.serial_io_nanos(), 0u);
+  EXPECT_EQ(disk.charged_io_nanos(), 0u);
+  EXPECT_EQ(clock.now_nanos(), 0u);
 }
 
 TEST(DiskSimTest, CountersFollowScope) {
@@ -81,6 +89,8 @@ TEST(DiskSimTest, ScopedIoScopeRestores) {
   EXPECT_EQ(disk.scope(), IoScope::kTransaction);
 }
 
+// One thread's I/Os form a serial chain: each charges its full latency,
+// so the clock, the serial sum and the charged sum all agree.
 TEST(DiskSimTest, LatencyChargedToClock) {
   SimClock clock;
   DiskSim disk(SmallOptions(), &clock);
@@ -88,7 +98,44 @@ TEST(DiskSimTest, LatencyChargedToClock) {
   std::vector<uint8_t> buf(512, 0);
   ASSERT_TRUE(disk.ReadPage(p, buf.data()).ok());   // +100.
   ASSERT_TRUE(disk.WritePage(p, buf.data()).ok());  // +200.
-  EXPECT_EQ(clock.now_nanos(), 300u);
+  ASSERT_TRUE(disk.ReadPage(p, buf.data()).ok());   // +100.
+  EXPECT_EQ(clock.now_nanos(), 400u);
+  EXPECT_EQ(disk.serial_io_nanos(), 400u);
+  EXPECT_EQ(disk.charged_io_nanos(), 400u);
+}
+
+// Reads of concurrent clients overlap in simulated time: each read stamps
+// its completion instant (now + latency) and the clock advances to the
+// max, not the sum, so two reads whose stamps interleave advance it by
+// less than twice the latency.
+TEST(DiskSimTest, ConcurrentReadsOverlapSimulatedTime) {
+  StorageOptions opts = SmallOptions();
+  opts.read_latency_nanos = 1'000'000;
+  SimClock clock;
+  DiskSim disk(opts, &clock);
+  const PageId a = disk.AllocatePage();
+  const PageId b = disk.AllocatePage();
+
+  // Both threads pass the gate before either reads, modeling two clients
+  // whose I/O genuinely overlaps.
+  std::atomic<int> at_gate{0};
+  auto reader = [&](PageId id) {
+    std::vector<uint8_t> out(opts.page_size);
+    at_gate.fetch_add(1);
+    while (at_gate.load() < 2) std::this_thread::yield();
+    ASSERT_TRUE(disk.ReadPage(id, out.data()).ok());
+  };
+  std::thread t1(reader, a);
+  std::thread t2(reader, b);
+  t1.join();
+  t2.join();
+
+  // The clock lands within [1x, 2x] of the latency; every nanosecond it
+  // moved was charged by a read.
+  EXPECT_GE(clock.now_nanos(), opts.read_latency_nanos);
+  EXPECT_LE(clock.now_nanos(), 2 * opts.read_latency_nanos);
+  EXPECT_EQ(clock.now_nanos(), disk.charged_io_nanos());
+  EXPECT_EQ(disk.serial_io_nanos(), 2 * opts.read_latency_nanos);
 }
 
 TEST(DiskSimTest, ResetCountersKeepsPages) {
@@ -100,28 +147,6 @@ TEST(DiskSimTest, ResetCountersKeepsPages) {
   EXPECT_EQ(disk.TotalCounters().total(), 0u);
   ASSERT_TRUE(disk.ReadPage(p, out.data()).ok());
   EXPECT_EQ(out, in);
-}
-
-TEST(DiskSimTest, BackingFilePersistsPages) {
-  StorageOptions opts = SmallOptions();
-  opts.backing_file = testing::TempDir() + "/ocb_disk_sim_test.bin";
-  {
-    DiskSim disk(opts);
-    const PageId p0 = disk.AllocatePage();
-    const PageId p1 = disk.AllocatePage();
-    std::vector<uint8_t> a(512, 0x11), b(512, 0x22);
-    ASSERT_TRUE(disk.WritePage(p0, a.data()).ok());
-    ASSERT_TRUE(disk.WritePage(p1, b.data()).ok());
-  }
-  // Verify the on-disk image directly.
-  std::FILE* f = std::fopen(opts.backing_file.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::vector<uint8_t> img(1024);
-  ASSERT_EQ(std::fread(img.data(), 1, img.size(), f), img.size());
-  std::fclose(f);
-  EXPECT_EQ(img[0], 0x11);
-  EXPECT_EQ(img[512], 0x22);
-  std::remove(opts.backing_file.c_str());
 }
 
 TEST(IoScopeTest, Names) {

@@ -78,9 +78,8 @@ TEST(LockdepTest, CorrectHierarchyDescentPasses) {
   OnFreshThread([] {
     // A realistic top-down walk: lock manager -> commit stamp ->
     // read-view registry -> catalog -> two frames (ascending page ids)
-    // -> stripe (the prefetch issue loop holds miss latches while
-    // taking the next page's stripe mutex) -> oid table -> version
-    // chain -> WAL.
+    // -> stripe (a two-page operation holds the first page's latch
+    // while fetching the second) -> oid table -> version chain -> WAL.
     Mutex lockmgr(lockdep::kLockManagerTableClass, 0);
     Mutex commit(lockdep::kVersionStoreCommitClass, 0);
     Mutex readview(lockdep::kReadViewRegistryClass);
